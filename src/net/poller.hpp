@@ -1,9 +1,9 @@
 // ReadinessSet: bulk read-readiness waiting for the server's event loops.
 //
-// A worker loop owns a set of connections; when none of them made progress
+// An event loop owns a set of connections; when none of them made progress
 // it must sleep until bytes arrive on *any* of them. poll(2) rebuilds the
-// kernel's interest list on every call — O(conns) per wakeup — which is the
-// single-threaded server's hidden scaling wall. epoll keeps the interest
+// kernel's interest list on every call — O(conns) per wakeup — which is a
+// busy server's hidden scaling wall. epoll keeps the interest
 // list in the kernel across calls, so a wakeup costs O(ready), not
 // O(watched). This interface wraps both behind one shape:
 //
@@ -13,8 +13,8 @@
 // Wakeups are advisory, exactly like Listener::wait — callers re-scan their
 // connections, they never trust the wakeup. Duplicate and negative handles
 // are tolerated: duplicates are deduped (UDP conns share one socket) and
-// negatives are skipped (loopback conns have no fd — a loop holding only
-// those degrades to plain sleeping, which the 1 ms poll interval bounds).
+// negatives are skipped (loopback conns have no fd; the server sleeps a
+// loop holding one in Listener::wait instead).
 //
 // make_readiness_set() returns the epoll implementation on Linux and the
 // portable poll(2) one elsewhere; name() says which, and BENCH_net's epoll

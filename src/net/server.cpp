@@ -35,18 +35,17 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point from) {
 }  // namespace
 
 /// One event-loop thread's world: the connections it owns exclusively, the
-/// inbox the acceptor feeds it through (the only cross-thread touch point),
-/// and the readiness set it sleeps on. With threads == 1 there is exactly
-/// one Loop and the acceptor/worker split collapses back into one thread.
+/// inbox loop 0 deals accepted connections into (the only cross-thread
+/// touch point), and the readiness set it sleeps on.
 struct Server::Loop {
   int index = 0;
   std::vector<std::unique_ptr<Connection>> conns;
   std::mutex inbox_mu;
   std::vector<std::unique_ptr<Conn>> inbox;  ///< accepted, not yet adopted
-  std::atomic<std::size_t> live{0};  ///< conns + inbox; the acceptor's drain gate
   std::unique_ptr<ReadinessSet> readiness = make_readiness_set();
   std::vector<int> watch;  ///< native handles, rebuilt when the conn set changes
   bool watch_dirty = true;
+  bool sleep_on_listener = false;  ///< watch misses a conn or holds nothing
   std::thread thread;
 
   /// Per-thread share of the global counters (relaxed; read by stats()).
@@ -126,6 +125,7 @@ Server::Server(Transport& transport, const std::string& address, ServerConfig cf
     loops_.push_back(std::make_unique<Loop>());
     loops_.back()->index = i;
   }
+  poller_ = listener_->native_handle() >= 0 ? loops_[0]->readiness->name() : "listener";
   if (cfg_.cluster) {
     cluster::DirectorConfig dc;
     dc.self_id = cfg_.cluster->node_id;
@@ -162,17 +162,14 @@ void Server::serve() {
     gossip_stop_.store(false, std::memory_order_release);
     gossip_thread_ = std::thread([this] { gossip_loop(); });
   }
-  if (cfg_.threads == 1) {
-    serve_single(*loops_[0]);
-  } else {
-    for (auto& lp : loops_) {
-      Loop* p = lp.get();
-      p->thread = std::thread([this, p] { worker_loop(*p); });
-    }
-    acceptor_loop();
-    for (auto& lp : loops_)
-      if (lp->thread.joinable()) lp->thread.join();
+  accepting_.store(true, std::memory_order_release);
+  for (std::size_t i = 1; i < loops_.size(); ++i) {
+    Loop* p = loops_[i].get();
+    p->thread = std::thread([this, p] { event_loop(*p); });
   }
+  event_loop(*loops_[0]);
+  for (auto& lp : loops_)
+    if (lp->thread.joinable()) lp->thread.join();
   if (director_) {
     gossip_stop_.store(true, std::memory_order_release);
     if (gossip_thread_.joinable()) gossip_thread_.join();
@@ -180,7 +177,40 @@ void Server::serve() {
   listener_->close();
 }
 
-/// Move accepted connections from the acceptor's inbox into this loop's
+/// Every event-loop thread runs this. Loop 0 also accepts, dealing new
+/// connections round-robin into every loop's inbox, its own included; once
+/// it sees the drain it stops, and accepting_ going false tells the other
+/// loops no inbox will grow again.
+void Server::event_loop(Loop& lp) {
+  std::size_t next = 0;
+  for (;;) {
+    const bool draining = draining_.load(std::memory_order_acquire);
+    bool progress = false;
+    if (lp.index == 0 && draining) accepting_.store(false, std::memory_order_release);
+    if (lp.index == 0 && !draining)
+      while (auto c = listener_->accept()) {
+        Loop& to = *loops_[next++ % loops_.size()];
+        {
+          std::lock_guard lk(to.inbox_mu);
+          to.inbox.push_back(std::move(c));
+        }
+        counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+        counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
+        progress = true;
+      }
+    progress |= adopt_inbox(lp);
+    progress |= service_conns(lp, draining);
+    progress |= close_finished(lp, draining);
+
+    if (draining && !accepting_.load(std::memory_order_acquire) && lp.conns.empty()) {
+      std::lock_guard lk(lp.inbox_mu);
+      if (lp.inbox.empty()) break;
+    }
+    if (!progress) idle_wait(lp);
+  }
+}
+
+/// Move the connections loop 0 dealt into this loop's inbox into its
 /// exclusive set. The mutex hand-off is the happens-before edge that makes
 /// lock-free ownership afterwards sound.
 bool Server::adopt_inbox(Loop& lp) {
@@ -233,7 +263,6 @@ bool Server::close_finished(Loop& lp, bool draining) {
       counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
       c.conn->close();
       it = lp.conns.erase(it);
-      lp.live.fetch_sub(1, std::memory_order_acq_rel);
       lp.watch_dirty = true;
       progress = true;
     } else {
@@ -245,100 +274,34 @@ bool Server::close_finished(Loop& lp, bool draining) {
 
 /// Nothing moved: sleep until I/O or a completion can change that. With
 /// work in flight, waiting on the oldest future wakes on the common case
-/// (completions); otherwise the readiness set (or, single-threaded, the
-/// listener) wakes on bytes, and the poll interval bounds the rest.
+/// (completions). Otherwise the readiness set wakes on bytes: this loop's
+/// connections' handles, plus the listener's on loop 0. A connection with
+/// no OS handle (loopback) cannot be watched there, so a loop holding one,
+/// or watching no handle at all, sleeps in Listener::wait instead, which
+/// wakes on its transport's own activity. The poll interval bounds the rest.
 void Server::idle_wait(Loop& lp) {
-  Connection* waiting = nullptr;
   for (auto& cp : lp.conns)
     if (!cp->in_flight.empty()) {
-      waiting = cp.get();
-      break;
+      cp->in_flight.front().future.wait_for(cfg_.poll_interval);
+      return;
     }
-  if (waiting) {
-    waiting->in_flight.front().future.wait_for(cfg_.poll_interval);
-    return;
-  }
-  if (cfg_.threads == 1) {
-    // Single-thread mode: the listener's wait doubles as the connection
-    // wait (loopback wakes on any hub activity) — the pre-threading shape.
-    listener_->wait(cfg_.poll_interval);
-    return;
-  }
   if (lp.watch_dirty) {
     lp.watch.clear();
-    for (auto& cp : lp.conns) lp.watch.push_back(cp->conn->native_handle());
+    bool handleless = false;
+    for (auto& cp : lp.conns) {
+      lp.watch.push_back(cp->conn->native_handle());
+      handleless |= lp.watch.back() < 0;
+    }
+    if (lp.index == 0) lp.watch.push_back(listener_->native_handle());
+    lp.sleep_on_listener =
+        handleless || std::none_of(lp.watch.begin(), lp.watch.end(), [](int h) { return h >= 0; });
     lp.readiness->rebuild(lp.watch);
     lp.watch_dirty = false;
   }
-  lp.readiness->wait(cfg_.poll_interval);
-}
-
-/// threads == 1: accept and serve on one thread (the original event loop).
-void Server::serve_single(Loop& lp) {
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool progress = false;
-
-    if (!draining) {
-      while (auto c = listener_->accept()) {
-        {
-          std::lock_guard lk(lp.inbox_mu);
-          lp.inbox.push_back(std::move(c));
-        }
-        lp.live.fetch_add(1, std::memory_order_acq_rel);
-        counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-        counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
-        progress = true;
-      }
-    }
-    progress |= adopt_inbox(lp);
-    progress |= service_conns(lp, draining);
-    progress |= close_finished(lp, draining);
-
-    if (draining && lp.conns.empty()) break;
-    if (!progress) idle_wait(lp);
-  }
-}
-
-/// threads > 1: this thread only accepts and distributes round-robin; the
-/// worker loops own every connection after the inbox hand-off.
-void Server::acceptor_loop() {
-  std::size_t rr = 0;
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool progress = false;
-    if (!draining) {
-      while (auto c = listener_->accept()) {
-        Loop& lp = *loops_[rr++ % loops_.size()];
-        {
-          std::lock_guard lk(lp.inbox_mu);
-          lp.inbox.push_back(std::move(c));
-        }
-        lp.live.fetch_add(1, std::memory_order_acq_rel);
-        counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-        counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
-        progress = true;
-      }
-    } else {
-      std::size_t total = 0;
-      for (auto& lp : loops_) total += lp->live.load(std::memory_order_acquire);
-      if (total == 0) break;
-    }
-    if (!progress) listener_->wait(cfg_.poll_interval);
-  }
-}
-
-void Server::worker_loop(Loop& lp) {
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    bool progress = adopt_inbox(lp);
-    progress |= service_conns(lp, draining);
-    progress |= close_finished(lp, draining);
-
-    if (draining && lp.conns.empty() && lp.live.load(std::memory_order_acquire) == 0)
-      break;
-    if (!progress) idle_wait(lp);
-  }
+  if (lp.sleep_on_listener)
+    listener_->wait(cfg_.poll_interval);
+  else
+    lp.readiness->wait(cfg_.poll_interval);
 }
 
 /// The membership side-channel: tick our heartbeat, dial one peer, trade
@@ -920,7 +883,7 @@ ServerStats Server::stats() const {
   s.gossip_rounds = counters_.gossip_rounds.load(std::memory_order_relaxed);
   s.cluster_nodes_alive = counters_.cluster_nodes_alive.load(std::memory_order_relaxed);
   if (director_) s.node_id = director_->self_id();
-  s.poller = loops_.empty() ? "" : loops_[0]->readiness->name();
+  s.poller = poller_;
   s.request_latency_us = request_latency_us_.snapshot();
   s.session_in_flight = session_in_flight_.snapshot();
   if (tracer_) {

@@ -1,19 +1,23 @@
 // The wire-protocol server: aesip-wire-v1 sessions mapped onto farm::Farm.
 //
-// Event-loop threading (ServerConfig::threads): with 1 thread, a single
-// loop owns everything — accept, read, decode, respond, flush — exactly
-// the shape earlier PRs shipped. With N > 1, an acceptor thread hands
-// each new connection to one of N worker loops round-robin, and each
-// worker owns its connections outright: no locks on the hot path, no
-// sharing — a connection lives its whole life on one loop, the same
-// exclusive-ownership rule the farm uses for engine state. Workers sleep
-// on a ReadinessSet (epoll on Linux, poll elsewhere) built from their
-// connections' native handles, so an idle worker costs O(ready) per
-// wakeup, not O(watched) — that is what lets one process carry thousands
-// of mostly-idle sessions. The two meet the farm only through
-// Farm::submit/try_submit and the std::future each returns — the same
-// decoupling the paper builds in hardware (bus I/O overlapped with cipher
-// compute) reproduced at the service layer.
+// Event-loop threading (ServerConfig::threads): N threads run N copies of
+// one event loop — read, decode, respond, flush — and nothing else. Loop 0
+// runs on the serving thread (run()'s caller, or start()'s thread) and also
+// accepts, dealing each new connection round-robin into one loop's inbox,
+// its own included. From then on that loop owns the connection outright:
+// no locks on the hot path, no sharing — a connection lives its whole life
+// on one loop, the same exclusive-ownership rule the farm uses for engine
+// state. Every loop sleeps in one place: on the oldest in-flight future
+// when work is pending, else on a ReadinessSet (epoll on Linux, poll
+// elsewhere) built from its connections' native handles, plus the
+// listener's on loop 0, so an idle loop costs O(ready) per wakeup, not
+// O(watched) — that is what lets one process carry thousands of
+// mostly-idle sessions. Connections without an OS handle (loopback) cannot
+// be watched there; a loop holding one sleeps in Listener::wait, which
+// wakes on the transport's own activity. The loops meet the farm only
+// through Farm::submit/try_submit and the std::future each returns — the
+// same decoupling the paper builds in hardware (bus I/O overlapped with
+// cipher compute) reproduced at the service layer.
 //
 // Clustering (ServerConfig::cluster): several `aesip serve` processes
 // shard sessions by consistent hash (cluster::Ring over gossiped
@@ -89,7 +93,8 @@ struct ClusterConfig {
 
 struct ServerConfig {
   farm::FarmConfig farm;            ///< workers, engine kind, queue bounds
-  int threads = 1;                  ///< event-loop threads (1 = fully inline)
+  int threads = 1;                  ///< event-loop threads; loop 0 runs on the
+                                    ///< serving thread and also accepts
   std::size_t window = 32;          ///< max unanswered data frames per session
   std::size_t max_payload = kDefaultMaxPayload;
   std::chrono::milliseconds idle_timeout{30000};
@@ -139,7 +144,9 @@ struct ServerStats {
   std::uint64_t gossip_rounds = 0;        ///< outbound gossip dials attempted
   std::uint64_t cluster_nodes_alive = 0;  ///< gauge; 0 when not clustered
   std::string node_id;                    ///< empty when not clustered
-  std::string poller;                     ///< ReadinessSet backend ("epoll"/"poll")
+  std::string poller;  ///< what idle loops sleep on: the ReadinessSet backend
+                       ///< ("epoll"/"poll"), or "listener" when the listener
+                       ///< has no OS handle (loopback: Listener::wait)
   obs::HistogramSnapshot request_latency_us;  ///< frame decoded -> response queued
   obs::HistogramSnapshot session_in_flight;   ///< window occupancy per data frame
   std::uint64_t trace_events = 0;
@@ -186,9 +193,7 @@ class Server {
   struct Loop;
 
   void serve();
-  void serve_single(Loop& lp);
-  void acceptor_loop();
-  void worker_loop(Loop& lp);
+  void event_loop(Loop& lp);
   bool adopt_inbox(Loop& lp);
   bool service_conns(Loop& lp, bool draining);
   bool close_finished(Loop& lp, bool draining);
@@ -217,10 +222,12 @@ class Server {
   std::mutex admin_mu_;                  ///< fleet_/chaos_ may be hit from any loop
   std::unique_ptr<Listener> listener_;
   std::string address_;
+  const char* poller_ = "";  ///< what idle loops sleep on (ServerStats::poller)
   std::unique_ptr<cluster::Director> director_;  ///< null when not clustered
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<unsigned> next_chaos_worker_{0};  ///< rotation for kAdminInject 0xFF
   std::atomic<bool> draining_{false};
+  std::atomic<bool> accepting_{false};  ///< loop 0 may still deal new connections
   std::atomic<bool> running_{false};
   std::thread thread_;
   std::thread gossip_thread_;

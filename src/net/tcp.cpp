@@ -1,18 +1,15 @@
 // TcpTransport: the Conn/Listener/Transport contract over non-blocking
 // POSIX sockets. Addresses are "host:port"; listening on port 0 picks an
 // ephemeral port and address() reports the real one (how tests avoid
-// hard-coding ports). Waiting is poll(2): a Conn polls its own fd, and a
-// Listener polls its accept fd plus every connection it accepted that is
-// still alive — the aggregate wakeup the server's event loop needs.
+// hard-coding ports). Waiting is poll(2) on one fd: a Conn polls its own,
+// a Listener its accept fd. The server's loops watch many fds at once
+// through a ReadinessSet instead.
 #include "net/transport.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -61,35 +58,9 @@ std::string addr_to_string(const sockaddr_in& sa) {
   return std::string(host) + ":" + std::to_string(ntohs(sa.sin_port));
 }
 
-class TcpListener;
-
-/// Accepted fds register with their listener so Listener::wait() can poll
-/// them; a Conn may outlive the listener, so registration is via a
-/// shared registry rather than a back-pointer.
-struct FdRegistry {
-  std::mutex mu;
-  std::vector<int> fds;
-
-  void add(int fd) {
-    std::lock_guard lk(mu);
-    fds.push_back(fd);
-  }
-  void remove(int fd) {
-    std::lock_guard lk(mu);
-    fds.erase(std::remove(fds.begin(), fds.end(), fd), fds.end());
-  }
-  std::vector<int> snapshot() {
-    std::lock_guard lk(mu);
-    return fds;
-  }
-};
-
 class TcpConn final : public Conn {
  public:
-  TcpConn(int fd, std::string peer, std::shared_ptr<FdRegistry> registry)
-      : fd_(fd), peer_(std::move(peer)), registry_(std::move(registry)) {
-    if (registry_) registry_->add(fd_);
-  }
+  TcpConn(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
 
   ~TcpConn() override { close(); }
 
@@ -121,7 +92,6 @@ class TcpConn final : public Conn {
 
   void close() override {
     if (fd_ < 0) return;
-    if (registry_) registry_->remove(fd_);
     ::close(fd_);
     fd_ = -1;
   }
@@ -140,13 +110,11 @@ class TcpConn final : public Conn {
 
   int fd_;
   std::string peer_;
-  std::shared_ptr<FdRegistry> registry_;
 };
 
 class TcpListener final : public Listener {
  public:
-  explicit TcpListener(const std::string& address)
-      : registry_(std::make_shared<FdRegistry>()) {
+  explicit TcpListener(const std::string& address) {
     const sockaddr_in want = parse_addr(address, /*for_listen=*/true);
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) throw_errno("socket");
@@ -179,17 +147,16 @@ class TcpListener final : public Listener {
     set_nonblocking(cfd);
     const int one = 1;
     ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return std::make_unique<TcpConn>(cfd, addr_to_string(peer), registry_);
+    return std::make_unique<TcpConn>(cfd, addr_to_string(peer));
   }
 
   void wait(std::chrono::milliseconds timeout) override {
     if (fd_ < 0) return;
-    std::vector<pollfd> polls;
-    polls.push_back({fd_, POLLIN, 0});
-    for (const int fd : registry_->snapshot()) polls.push_back({fd, POLLIN, 0});
-    ::poll(polls.data(), static_cast<nfds_t>(polls.size()),
-           static_cast<int>(timeout.count()));
+    pollfd p{fd_, POLLIN, 0};
+    ::poll(&p, 1, static_cast<int>(timeout.count()));
   }
+
+  int native_handle() const noexcept override { return fd_; }
 
   std::string address() const override { return address_; }
 
@@ -202,7 +169,6 @@ class TcpListener final : public Listener {
  private:
   int fd_ = -1;
   std::string address_;
-  std::shared_ptr<FdRegistry> registry_;
 };
 
 class TcpTransport final : public Transport {
@@ -225,7 +191,7 @@ class TcpTransport final : public Transport {
     set_nonblocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return std::make_unique<TcpConn>(fd, address, nullptr);
+    return std::make_unique<TcpConn>(fd, address);
   }
 
   const char* name() const noexcept override { return "tcp"; }

@@ -4,7 +4,7 @@
 // Server, Client, loadgen, bench) is transport-blind:
 //
 //  * TcpTransport       — real non-blocking POSIX sockets over localhost or
-//                         the network; waiting is poll(2) on the fds.
+//                         the network; waiting is poll(2) on one fd.
 //  * UdpTransport       — aesip-netchan-v1 (src/net/netchan.hpp): a reliable
 //                         ordered byte stream over UDP datagrams, so the
 //                         FrameCodec above it works verbatim. Fragmentation/
@@ -17,9 +17,9 @@
 //
 // The contract is deliberately minimal and non-blocking: read_some /
 // write_some never block (kWouldBlock instead), and the wait_* calls are
-// how callers sleep until progress is possible. A Listener additionally
-// aggregates waiting over everything it accepted, which is exactly the
-// shape a poll-based server loop wants.
+// how callers sleep until progress is possible. Conns and listeners with
+// an OS handle expose it (native_handle()) so a server loop can watch many
+// at once in one ReadinessSet (poller.hpp).
 #pragma once
 
 #include <chrono>
@@ -63,9 +63,9 @@ class Conn {
 
   /// The OS readiness handle (socket fd) behind this connection, or -1
   /// when there is none (loopback pipes). A ReadinessSet (poller.hpp) can
-  /// watch handles in bulk — the epoll server's worker loops do; several
-  /// conns may share one handle (UDP conns demuxed off one socket), so
-  /// watchers must dedupe.
+  /// watch handles in bulk — the server's event loops do; several conns
+  /// may share one handle (UDP conns demuxed off one socket), so watchers
+  /// must dedupe.
   virtual int native_handle() const noexcept { return -1; }
 };
 
@@ -76,11 +76,18 @@ class Listener {
   /// Non-blocking: the next pending connection, or nullptr.
   virtual std::unique_ptr<Conn> accept() = 0;
 
-  /// Sleep until a connection is pending, any connection this listener
-  /// accepted has activity (readable bytes, EOF, writability after a
-  /// stall), or `timeout` elapses. Spurious wakeups are allowed — callers
-  /// re-scan, they don't trust the wakeup.
+  /// Sleep until a connection is pending or `timeout` elapses. A transport
+  /// whose conns have no native_handle() also wakes on activity on any
+  /// connection it accepted (readable bytes, EOF, writability after a
+  /// stall): that is how a loop holding such conns sleeps. Safe to call
+  /// from several threads at once, alongside accept(). Spurious wakeups
+  /// are allowed — callers re-scan, they don't trust the wakeup.
   virtual void wait(std::chrono::milliseconds timeout) = 0;
+
+  /// The OS handle that turns readable when a connection is pending, or
+  /// -1 when there is none (loopback). Like Conn::native_handle(), a
+  /// ReadinessSet may watch it.
+  virtual int native_handle() const noexcept { return -1; }
 
   /// The resolved address ("127.0.0.1:49152" after listening on port 0).
   virtual std::string address() const = 0;

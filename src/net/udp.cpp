@@ -431,6 +431,8 @@ class UdpListener final : public Listener {
     hub_->pump(clock_t_::now());
   }
 
+  int native_handle() const noexcept override { return hub_->fd; }
+
   std::string address() const override { return address_; }
 
   void close() override {

@@ -2,9 +2,9 @@
 // gossip Director convergence, the aesip-netchan-v1 codec/cookie/Channel
 // reliability engine under a seeded packet mangler and a fake clock, the
 // UDP transport end to end (handshake, chaos, stale-cookie rejection),
-// the multi-threaded epoll server's per-thread fan-in, and multi-node
-// sharding: redirect following, pinning, and cross-node session
-// migration with zero lost frames.
+// the server's event loops (one thread each, per-thread fan-in over every
+// transport), and multi-node sharding: redirect following, pinning, and
+// cross-node session migration with zero lost frames.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <random>
@@ -637,55 +638,97 @@ TEST(UdpTransport, StaleCookieRejectedStateless) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-threaded epoll server
+// Event-loop threads
 // ---------------------------------------------------------------------------
 
-TEST(EpollServer, PerThreadFanInAccountsForEverything) {
+/// Threads of this process right now (one /proc/self/task entry each).
+std::ptrdiff_t task_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(EpollServer, StartAddsExactlyOneThreadPerLoop) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
   auto transport = net::make_tcp_transport();
   net::ServerConfig cfg;
   cfg.farm.workers = 2;
   cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
-  cfg.threads = 4;  // acceptor + 4 worker loops, round-robin adoption
+  cfg.threads = 4;
   net::Server server(*transport, "127.0.0.1:0", cfg);
+  const auto before = task_count();  // farm workers already running
   server.start();
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int s = 0; s < 8; ++s)
-    threads.emplace_back([&, s] {
-      mismatches += run_verified_session(*transport, server.address(),
-                                         static_cast<std::uint64_t>(s) + 1, 16,
-                                         900 + static_cast<std::uint32_t>(s));
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
+  // start() returns before the serving thread has spawned loops 1..3:
+  // wait for them, then make sure no fifth thread follows.
+  wait_until([&] { return task_count() >= before + 4; }, 2000ms);
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(task_count(), before + 4) << "threads = 4 must mean 4 event-loop threads";
   server.stop();
-  const auto st = server.stats();
-  EXPECT_TRUE(st.poller == "epoll" || st.poller == "poll") << st.poller;
-  ASSERT_EQ(st.per_thread.size(), 4u);
+}
 
-  // Per-thread counters must partition the totals exactly: every
-  // connection was adopted by exactly one loop, every frame read and
-  // every response written on exactly one loop.
-  std::uint64_t adopted = 0, frames = 0, responses = 0, bytes_in = 0, bytes_out = 0;
-  for (const auto& t : st.per_thread) {
-    adopted += t.connections_adopted;
-    frames += t.frames_received;
-    responses += t.responses_sent;
-    bytes_in += t.bytes_in;
-    bytes_out += t.bytes_out;
-  }
-  EXPECT_EQ(adopted, st.connections_accepted);
-  EXPECT_EQ(frames, st.frames_received);
-  EXPECT_EQ(responses, st.responses_sent + st.errors_sent);
-  EXPECT_EQ(bytes_in, st.bytes_in);
-  EXPECT_EQ(bytes_out, st.bytes_out);
-  // Round-robin adoption: 8 connections over 4 loops = 2 each.
-  for (const auto& t : st.per_thread)
-    EXPECT_EQ(t.connections_adopted, 2u) << "loop " << t.thread;
-  EXPECT_EQ(st.responses_sent, st.data_frames);
-  EXPECT_EQ(st.protocol_errors, 0u);
+TEST(EpollServer, PerThreadFanInAccountsForEverything) {
+  // Every transport through the one event loop, inline (1) and fanned out
+  // (4). Loopback moves at most 7 bytes per call, so partial reads and
+  // writes run through the loop too.
+  net::UdpConfig ucfg;
+  ucfg.rto = 10ms;
+  for (const std::string kind : {"tcp", "udp", "loopback"})
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(kind + " x " + std::to_string(threads) + " threads");
+      std::unique_ptr<net::Transport> transport;
+      if (kind == "tcp") transport = net::make_tcp_transport();
+      if (kind == "udp") transport = net::make_udp_transport(ucfg);
+      if (kind == "loopback") transport = std::make_unique<net::LoopbackTransport>(7);
+      const std::string address = kind == "loopback" ? "fan-in" : "127.0.0.1:0";
+      net::ServerConfig cfg;
+      cfg.farm.workers = 2;
+      cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
+      cfg.threads = threads;  // round-robin adoption over `threads` loops
+      net::Server server(*transport, address, cfg);
+      server.start();
+
+      std::atomic<int> mismatches{0};
+      std::vector<std::thread> clients;
+      for (int s = 0; s < 8; ++s)
+        clients.emplace_back([&, s] {
+          mismatches += run_verified_session(*transport, server.address(),
+                                             static_cast<std::uint64_t>(s) + 1, 16,
+                                             900 + static_cast<std::uint32_t>(s));
+        });
+      for (auto& t : clients) t.join();
+      EXPECT_EQ(mismatches.load(), 0);
+
+      server.stop();
+      const auto st = server.stats();
+      if (kind == "loopback")
+        EXPECT_EQ(st.poller, "listener");
+      else
+        EXPECT_TRUE(st.poller == "epoll" || st.poller == "poll") << st.poller;
+      ASSERT_EQ(st.per_thread.size(), static_cast<std::size_t>(threads));
+
+      // Per-thread counters must partition the totals exactly: every
+      // connection was adopted by exactly one loop, every frame read and
+      // every response written on exactly one loop.
+      std::uint64_t adopted = 0, frames = 0, responses = 0, bytes_in = 0, bytes_out = 0;
+      for (const auto& t : st.per_thread) {
+        adopted += t.connections_adopted;
+        frames += t.frames_received;
+        responses += t.responses_sent;
+        bytes_in += t.bytes_in;
+        bytes_out += t.bytes_out;
+      }
+      EXPECT_EQ(st.connections_accepted, 8u);
+      EXPECT_EQ(adopted, st.connections_accepted);
+      EXPECT_EQ(frames, st.frames_received);
+      EXPECT_EQ(responses, st.responses_sent + st.errors_sent);
+      EXPECT_EQ(bytes_in, st.bytes_in);
+      EXPECT_EQ(bytes_out, st.bytes_out);
+      // Round-robin adoption: 8 connections dealt evenly over the loops.
+      for (const auto& t : st.per_thread)
+        EXPECT_EQ(t.connections_adopted, 8u / static_cast<unsigned>(threads))
+            << "loop " << t.thread;
+      EXPECT_EQ(st.responses_sent, st.data_frames);
+      EXPECT_EQ(st.protocol_errors, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -905,9 +905,8 @@ int cmd_serve(const Args& args) {
               server.address().c_str(), transport->name(), cfg.farm.workers,
               engine::kind_name(cfg.farm.engine), keybits, cfg.window,
               cfg.admin ? "on" : "off", 100.0 * cfg.farm.spot_check_fraction);
-  if (cfg.threads > 1)
-    std::printf("aesip serve: %d event-loop threads (%s readiness)\n", cfg.threads,
-                server.stats().poller.c_str());
+  std::printf("aesip serve: %d event-loop threads (%s readiness)\n", cfg.threads,
+              server.stats().poller.c_str());
   if (cfg.cluster)
     std::printf("aesip serve: cluster node '%s' (%zu seeds, gossip every %lld ms)\n",
                 cfg.cluster->node_id.c_str(), cfg.cluster->seeds.size(),
