@@ -36,7 +36,7 @@ std::array<std::uint8_t, 16> GateIpDriver::read_dout() const {
 }
 
 void GateIpDriver::clock() {
-  ev_.settle();
+  if (ev_.stale()) ev_.settle();
   ev_.clock();
   ++cycles_;
 }
@@ -194,7 +194,7 @@ void GateIpBatchDriver::read_dout_lanes(std::span<std::uint8_t> out, std::size_t
 }
 
 void GateIpBatchDriver::clock(std::uint64_t weight) {
-  ev_.settle();
+  if (ev_.stale()) ev_.settle();
   ev_.clock();
   cycles_ += weight;
 }

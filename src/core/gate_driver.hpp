@@ -33,7 +33,8 @@ class GateIpDriver {
   std::array<std::uint8_t, 16> read_dout() const;
   bool data_ok() const { return ev_.get(out_by_name_.at("data_ok")); }
 
-  /// One clock edge (settles first).
+  /// One clock edge: settles first only when an input changed since the
+  /// last edge (the evaluator is stale()), so an edge costs one settle.
   void clock();
   std::uint64_t cycles() const noexcept { return cycles_; }
 
@@ -119,8 +120,9 @@ class GateIpBatchDriver {
   void read_dout_lanes(std::span<std::uint8_t> out, std::size_t n) const;
   bool data_ok() const { return ev_.get(out_by_name_.at("data_ok"), 0); }
 
-  /// One clock edge in every lane (settles first); `weight` is the number
-  /// of device cycles it represents (= active lanes).
+  /// One clock edge in every lane, settling first only when the evaluator
+  /// is stale(); `weight` is the number of device cycles it represents
+  /// (= active lanes).
   void clock(std::uint64_t weight = 1);
   std::uint64_t cycles() const noexcept { return cycles_; }
 

@@ -199,7 +199,6 @@ std::size_t NetlistEngine::fault_sites() const noexcept {
 bool NetlistEngine::inject_fault(std::size_t site) {
   if (site >= drv_.evaluator().dff_count()) return false;
   drv_.evaluator().flip_dff(site);
-  drv_.evaluator().settle();
   return true;
 }
 

@@ -333,6 +333,8 @@ void BatchEvaluator::jit_rom_thunk(void* ctx, unsigned rom) {
 }
 
 void BatchEvaluator::settle() {
+  stale_ = false;
+  ++settles_;
   if (jit_) {
     jit_->settle()(words_.data(), this, &BatchEvaluator::jit_rom_thunk);
     return;
@@ -368,6 +370,7 @@ void BatchEvaluator::reset() {
 void BatchEvaluator::publish_dff(std::size_t index) {
   for (std::size_t g = 0; g < stride_; ++g)
     words_[dffs_[index].q * stride_ + g] = dff_state_[index * stride_ + g];
+  stale_ = true;
 }
 
 void BatchEvaluator::flip_dff(std::size_t index) {

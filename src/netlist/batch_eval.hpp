@@ -32,7 +32,11 @@
 //     per-lane loop.
 //   * DFF state is kept as packed lane words; clock() samples every enabled
 //     D (per-lane enable masking), publishes Q, then settles — the same
-//     pre-edge semantics as Evaluator::clock().
+//     pre-edge semantics as Evaluator::clock().  Every public write (input
+//     words, DFF flips, reset) marks the nets stale; settle() and clock()
+//     leave them settled.  A driver settles before an edge only while
+//     stale(), so an edge on unchanged inputs costs only clock()'s own
+//     post-edge settle.
 //
 // The tape is additionally sorted into levelization bands (ops within one
 // band are mutually independent), so BatchConfig::threads > 1 shards each
@@ -88,10 +92,14 @@ class BatchEvaluator {
   // --- whole-word access (64 lanes per word index) ----------------------------
   /// Lane word `wi` of net `n`: bit L = the value in lane 64*wi + L.
   Word word(NetId n, std::size_t wi = 0) const { return words_[n * stride_ + wi]; }
-  void set_word(NetId n, Word w, std::size_t wi = 0) { words_[n * stride_ + wi] = w; }
+  void set_word(NetId n, Word w, std::size_t wi = 0) {
+    words_[n * stride_ + wi] = w;
+    stale_ = true;
+  }
   /// Drive net `n` to the same value in every lane.
   void broadcast(NetId n, bool v) {
     for (std::size_t g = 0; g < stride_; ++g) words_[n * stride_ + g] = v ? ~Word{0} : Word{0};
+    stale_ = true;
   }
   void broadcast_bus(const Bus& b, std::uint64_t value);
 
@@ -100,6 +108,7 @@ class BatchEvaluator {
     Word& w = words_[n * stride_ + lane / kBaseLanes];
     const Word bit = Word{1} << (lane % kBaseLanes);
     w = v ? (w | bit) : (w & ~bit);
+    stale_ = true;
   }
   bool get(NetId n, std::size_t lane) const {
     return (words_[n * stride_ + lane / kBaseLanes] >> (lane % kBaseLanes)) & 1U;
@@ -112,16 +121,21 @@ class BatchEvaluator {
   /// Propagate through the compiled tape (call after changing inputs).
   void settle();
   /// Rising clock edge in every lane: each DFF whose enable is true in a
-  /// lane samples its D in that lane; then the network settles.
+  /// lane samples its D in that lane; then the network settles.  D is read
+  /// as it stands: settle first if stale().
   void clock();
   /// Clear all flip-flop state to zero in every lane (no settle — mirrors
   /// the scalar evaluator).
   void reset();
+  /// True when a write since the last settle()/clock() may have left a net
+  /// disagreeing with its inputs.
+  bool stale() const noexcept { return stale_; }
 
   // --- fault injection --------------------------------------------------------
   /// Flip the DFF state at `index` in EVERY lane and republish Q — the
   /// batch twin of Evaluator::flip_dff, for SEU campaigns and live chaos
-  /// injection.  The caller settles, exactly like the scalar evaluator.
+  /// injection.  It propagates at the next settle(), exactly like the
+  /// scalar evaluator.
   void flip_dff(std::size_t index);
   /// Flip one lane only (per-lane SEU injection at any width; lane-0 flips
   /// track the scalar oracle bit for bit while other lanes stay clean).
@@ -141,6 +155,8 @@ class BatchEvaluator {
   std::size_t level_count() const noexcept {
     return level_starts_.empty() ? 0 : level_starts_.size() - 1;
   }
+  /// Tape settles run since construction, clock()'s post-edge one included.
+  std::uint64_t settle_count() const noexcept { return settles_; }
 
  private:
   using Op = batchdetail::Op;
@@ -179,6 +195,8 @@ class BatchEvaluator {
   std::vector<Word> dff_sample_;  ///< clock() scratch (no per-call alloc)
   std::uint32_t const0_word_;
   std::uint32_t const1_word_;
+  bool stale_ = true;
+  std::uint64_t settles_ = 0;
   const batchdetail::Kernels* kern_ = nullptr;
   std::unique_ptr<batchdetail::JitModule> jit_;  ///< kJit only
   std::unique_ptr<Pool> pool_;                   ///< shard_threads_ > 1 only

@@ -90,6 +90,7 @@ std::uint64_t Evaluator::get_bus(const Bus& b) const {
 }
 
 void Evaluator::settle() {
+  stale_ = false;
   const auto& cells = nl_.cells();
   const auto& roms = nl_.roms();
   for (const Step& s : order_) {
@@ -153,12 +154,14 @@ void Evaluator::clock() {
 void Evaluator::flip_dff(std::size_t index) {
   dff_state_[index] ^= 1U;
   values_[nl_.cells()[dff_cells_[index]].out] = dff_state_[index];
+  stale_ = true;
 }
 
 void Evaluator::reset() {
   dff_state_.assign(dff_cells_.size(), 0);
   for (std::size_t i = 0; i < dff_cells_.size(); ++i)
     values_[nl_.cells()[dff_cells_[i]].out] = 0;
+  stale_ = true;
 }
 
 }  // namespace aesip::netlist

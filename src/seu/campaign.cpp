@@ -56,10 +56,7 @@ CampaignStats run_campaign(const netlist::Netlist& ip_netlist, int runs, std::ui
     bool got_result = false;
     std::array<std::uint8_t, 16> result{};
     for (int cycle = 1; cycle <= 200; ++cycle) {
-      if (cycle - 1 == inject_cycle) {
-        drv.evaluator().flip_dff(dff);
-        drv.evaluator().settle();
-      }
+      if (cycle - 1 == inject_cycle) drv.evaluator().flip_dff(dff);
       drv.clock();
       if (drv.data_ok()) {
         result = drv.read_dout();

@@ -36,7 +36,6 @@ StandbyEffect classify_standby_upset(const netlist::Netlist& ip_netlist, std::si
 
   // The upset: flip the register while the core idles between blocks.
   drv.evaluator().flip_dff(dff);
-  drv.evaluator().settle();
 
   // Two follow-up blocks: the first catches upsets in state read at block
   // start, the second catches ones that only surface after a full block

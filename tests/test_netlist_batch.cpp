@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
 #include <random>
 #include <span>
@@ -366,6 +367,161 @@ TEST_F(NetlistBatch, FullIpPartialBatchesMatchReference) {
           << "n=" << n << " block " << blk;
     }
   }
+}
+
+// A register chain behind the Table 1 port names, so both gate drivers bind
+// to it: q[0] = DFF(din[0]), q[i] = DFF(din[i] ^ q[i-1]), dout = q. Every
+// din net and every Q but the last feeds a D combinationally, so an edge
+// clocked on unsettled nets samples a wrong D somewhere.
+namespace {
+
+struct XorChain {
+  Netlist nl;
+  Bus din;
+};
+
+XorChain xor_chain() {
+  XorChain c;
+  c.din = c.nl.add_input_bus("din", 128);
+  for (const char* name : {"setup", "wr_data", "wr_key"}) c.nl.add_input(name);
+  Bus q;
+  for (std::size_t i = 0; i < c.din.size(); ++i)
+    q.push_back(c.nl.add_dff(i == 0 ? c.din[0] : c.nl.gate_xor(c.din[i], q.back())));
+  c.nl.add_output_bus(q, "dout");
+  return c;
+}
+
+}  // namespace
+
+// The stale-input contract: every public write marks the evaluator stale,
+// so the driver's edge (which skips the pre-edge settle on settled nets)
+// must land exactly where an explicit settle() + clock() does — in every
+// net word of every lane, after every mutator.
+TEST_F(NetlistBatch, StaleAwareClockMatchesExplicitSettleAfterEveryMutator) {
+  const auto chain = xor_chain();
+  const Bus& din = chain.din;
+  const Bus byte_a(din.begin() + 16, din.begin() + 24);
+  const Bus byte_b(din.begin() + 32, din.begin() + 40);
+  const std::pair<const char*, std::function<void(BatchEvaluator&)>> mutators[] = {
+      {"set", [&](BatchEvaluator& ev) {
+         const std::size_t lane = ev.lanes() - 1;
+         ev.set(din[3], lane, !ev.get(din[3], lane));
+       }},
+      {"set_word", [&](BatchEvaluator& ev) {
+         const std::size_t wi = ev.stride() - 1;
+         ev.set_word(din[5], ~ev.word(din[5], wi), wi);
+       }},
+      {"set_bus", [&](BatchEvaluator& ev) {
+         const std::size_t lane = ev.lanes() - 1;
+         ev.set_bus(byte_a, lane, ~ev.get_bus(byte_a, lane) & 0xFFU);
+       }},
+      {"broadcast", [&](BatchEvaluator& ev) { ev.broadcast(din[7], !ev.get(din[7], 0)); }},
+      {"broadcast_bus",
+       [&](BatchEvaluator& ev) { ev.broadcast_bus(byte_b, ~ev.get_bus(byte_b, 0) & 0xFFU); }},
+      {"flip_dff", [](BatchEvaluator& ev) { ev.flip_dff(3); }},
+      {"flip_dff_lane", [](BatchEvaluator& ev) { ev.flip_dff_lane(4, ev.lanes() - 1); }},
+      {"flip_dff_mask", [](BatchEvaluator& ev) {
+         std::vector<std::uint64_t> mask(ev.stride(), 0);
+         mask.front() |= std::uint64_t{1} << 5;
+         mask.back() |= std::uint64_t{1} << 62;
+         ev.flip_dff_mask(5, mask);
+       }},
+      {"reset", [](BatchEvaluator& ev) { ev.reset(); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    core::GateIpBatchDriver a(chain.nl);
+    core::GateIpBatchDriver b(chain.nl);
+    const std::size_t lanes = a.lanes();
+    for (std::uint32_t seed = 0; seed < 2; ++seed) {  // random state in every lane
+      const auto data = random_bytes(16 * lanes, 90 + seed);
+      a.set_din_lanes(data, lanes);
+      b.set_din_lanes(data, lanes);
+      a.clock();
+      b.clock();
+    }
+    ASSERT_FALSE(a.evaluator().stale());
+    mutate(a.evaluator());
+    mutate(b.evaluator());
+    a.clock();
+    b.evaluator().settle();
+    b.evaluator().clock();
+    EXPECT_FALSE(a.evaluator().stale());
+    for (nlist::NetId n = 0; n < chain.nl.net_count(); ++n)
+      for (std::size_t wi = 0; wi < a.evaluator().stride(); ++wi)
+        ASSERT_EQ(a.evaluator().word(n, wi), b.evaluator().word(n, wi))
+            << "net " << n << " word " << wi;
+  }
+}
+
+// The scalar driver keeps the same contract on the oracle evaluator.
+TEST_F(NetlistBatch, ScalarStaleAwareClockMatchesExplicitSettleAfterEveryMutator) {
+  const auto chain = xor_chain();
+  const Bus& din = chain.din;
+  const Bus byte_a(din.begin() + 16, din.begin() + 24);
+  const std::pair<const char*, std::function<void(Evaluator&)>> mutators[] = {
+      {"set", [&](Evaluator& ev) { ev.set(din[3], !ev.get(din[3])); }},
+      {"set_bus", [&](Evaluator& ev) { ev.set_bus(byte_a, ~ev.get_bus(byte_a) & 0xFFU); }},
+      {"flip_dff", [](Evaluator& ev) { ev.flip_dff(3); }},
+      {"reset", [](Evaluator& ev) { ev.reset(); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    core::GateIpDriver a(chain.nl);
+    core::GateIpDriver b(chain.nl);
+    for (std::uint32_t seed = 0; seed < 2; ++seed) {
+      const auto data = random_bytes(16, 95 + seed);
+      a.set_din(data);
+      b.set_din(data);
+      a.clock();
+      b.clock();
+    }
+    ASSERT_FALSE(a.evaluator().stale());
+    mutate(a.evaluator());
+    mutate(b.evaluator());
+    a.clock();
+    b.evaluator().settle();
+    b.evaluator().clock();
+    EXPECT_FALSE(a.evaluator().stale());
+    const auto va = a.evaluator().net_values();
+    const auto vb = b.evaluator().net_values();
+    ASSERT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end()));
+  }
+}
+
+// One settle per clock edge plus one per input change: a decrypt key setup
+// (one wr_key beat, then 40 setup edges on unchanged inputs) and a 1-block
+// AES-128 pass (the load edge, wr_data dropping, then 49 quiet edges) each
+// settle at most edges + 2 times — not twice per edge.
+TEST_F(NetlistBatch, OneSettlePerEdgePlusOnePerInputChange) {
+  const auto nl = core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/true);
+  core::GateIpBatchDriver drv(nl);
+  const BatchEvaluator& ev = drv.evaluator();
+  drv.reset();
+
+  const auto key = random_bytes(16, 81);
+  std::uint64_t settles = ev.settle_count();
+  std::uint64_t edges = drv.cycles();
+  drv.load_key(key, /*needs_setup=*/true);
+  edges = drv.cycles() - edges;
+  settles = ev.settle_count() - settles;
+  EXPECT_EQ(edges, 41u);
+  EXPECT_LE(settles, edges + 2) << "key setup";
+
+  const auto plain = random_bytes(16, 82);
+  std::vector<std::uint8_t> got(16);
+  settles = ev.settle_count();
+  const auto r = drv.process_batch(plain, got, 1, /*encrypt=*/true);
+  settles = ev.settle_count() - settles;
+  ASSERT_TRUE(r.has_value());
+  edges = static_cast<std::uint64_t>(r->cycles) + 1;  // the load edge + latency
+  EXPECT_EQ(edges, 51u);
+  EXPECT_LE(settles, edges + 2) << "1-block pass";
+
+  std::array<std::uint8_t, 16> want{};
+  aes::Aes128(std::span<const std::uint8_t, 16>(key.data(), 16))
+      .encrypt_block(std::span<const std::uint8_t, 16>(plain.data(), 16), want);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
 }
 
 // The farm's batched dispatch end to end: 4 netlist workers draining
