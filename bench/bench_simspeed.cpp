@@ -178,8 +178,7 @@ NetlistBatchResult measure_netlist_batch() {
   const netlist::BatchBackend active = netlist::detect_backend();
   const netlist::BatchBackend all[] = {netlist::BatchBackend::kU64, netlist::BatchBackend::kNeon,
                                        netlist::BatchBackend::kAvx2,
-                                       netlist::BatchBackend::kAvx512,
-                                       netlist::BatchBackend::kJit};
+                                       netlist::BatchBackend::kAvx512};
   for (const auto b : all) {
     BackendPoint pt;
     pt.name = netlist::backend_name(b);
@@ -189,9 +188,7 @@ NetlistBatchResult measure_netlist_batch() {
       r.backends.push_back(std::move(pt));
       continue;
     }
-    netlist::BatchConfig cfg;
-    cfg.backend = b;
-    core::GateIpBatchDriver bd(*nl, cfg);
+    core::GateIpBatchDriver bd(*nl, b);
     bd.reset();
     bd.load_key(key, true);
     r.tape_ops = bd.evaluator().tape_size();

@@ -143,8 +143,9 @@ std::optional<GateIpDriver::StreamResult> GateIpDriver::stream(std::span<const s
 
 // --- GateIpBatchDriver -------------------------------------------------------
 
-GateIpBatchDriver::GateIpBatchDriver(const netlist::Netlist& nl, const netlist::BatchConfig& cfg)
-    : ev_(nl, cfg) {
+GateIpBatchDriver::GateIpBatchDriver(const netlist::Netlist& nl,
+                                     std::optional<netlist::BatchBackend> backend)
+    : ev_(nl, backend) {
   for (const auto& pi : nl.inputs()) by_name_[pi.name] = pi.net;
   for (const auto& po : nl.outputs()) out_by_name_[po.name] = po.net;
   for (int i = 0; i < 128; ++i) {

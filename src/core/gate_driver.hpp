@@ -104,9 +104,10 @@ class GateIpDriver {
 class GateIpBatchDriver {
  public:
   /// Binds to a synthesized IP netlist (must expose the Table 1 ports).
-  /// The netlist must outlive the driver.  `cfg` forces a batch backend /
-  /// shard-thread count; the default auto-detects the widest one.
-  explicit GateIpBatchDriver(const netlist::Netlist& nl, const netlist::BatchConfig& cfg = {});
+  /// The netlist must outlive the driver.  `backend` forces a batch
+  /// backend; the default auto-detects the widest one.
+  explicit GateIpBatchDriver(const netlist::Netlist& nl,
+                             std::optional<netlist::BatchBackend> backend = {});
 
   /// Blocks per pass — the resolved backend's lane count.
   std::size_t lanes() const noexcept { return ev_.lanes(); }

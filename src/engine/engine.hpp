@@ -10,7 +10,7 @@
 //
 // Cycle-cost semantics (see docs/engine.md for the full contract):
 //
-//   * SoftwareEngine    — aes::Rijndael, zero-cycle functional model: cycles()
+//   * SoftwareEngine    — T-table AES, zero-cycle functional model: cycles()
 //                         and last_latency() are always 0; the work counters
 //                         (blocks, rounds) still advance.
 //   * BehavioralEngine  — Simulator + RijndaelIp + GenericBusDriver; every
@@ -39,7 +39,6 @@
 
 #include <vector>
 
-#include "aes/cipher.hpp"
 #include "aes/ttable.hpp"
 #include "arch/variant.hpp"
 #include "core/bfm.hpp"
@@ -127,7 +126,7 @@ class CipherEngine {
 
   /// Name of the bit-parallel lane backend behind process_batch ("none"
   /// when blocks go one at a time; NetlistEngine reports its resolved
-  /// netlist::BatchBackend — "u64", "neon", "avx2", "avx512" or "jit").
+  /// netlist::BatchBackend — "u64", "neon", "avx2" or "avx512").
   virtual const char* batch_backend() const noexcept { return "none"; }
 
   /// Occupancy accounting for the batch path: how full the engine's lanes
@@ -185,8 +184,9 @@ class CipherEngine {
   bool staged_encrypt_ = true;
 };
 
-/// Zero-cycle functional reference: aes::Rijndael behind the engine
-/// contract.  Geometry-agnostic: the key length of each load_key selects
+/// Zero-cycle functional model: one aes::TTableRijndael per resident key
+/// behind the engine contract (aes::Rijndael stays the oracle, outside the
+/// engines).  Geometry-agnostic: the key length of each load_key selects
 /// AES-128/192/256 (cycle engines fix their geometry at construction).
 class SoftwareEngine final : public CipherEngine {
  public:
@@ -198,8 +198,9 @@ class SoftwareEngine final : public CipherEngine {
   std::uint64_t load_key(std::span<const std::uint8_t> key) override;
   bool key_resident(std::span<const std::uint8_t> key) const override;
 
-  /// T-table loop over the batch — no transpose, no per-block virtual
-  /// dispatch; same ciphertexts and counter growth as the scalar loop.
+  /// T-table loop over the batch — the same cipher object as the scalar
+  /// path, minus the per-block virtual dispatch; same ciphertexts and
+  /// counter growth as the scalar loop.
   void process_batch(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                      bool encrypt = true) override;
 
@@ -213,11 +214,9 @@ class SoftwareEngine final : public CipherEngine {
 
  private:
   core::IpMode mode_;
-  std::optional<aes::Rijndael> aes_;
-  std::optional<aes::TTableRijndael> ttable_;  ///< batch path, built per key
+  std::optional<aes::TTableRijndael> ttable_;  ///< scalar + batch path, built per key
   std::array<std::uint8_t, 32> resident_key_{};
   std::size_t resident_key_len_ = 0;
-  int rounds_ = 10;  ///< Nr of the resident key's geometry
   core::IpCounters counters_;
 };
 
@@ -318,14 +317,14 @@ std::shared_ptr<const netlist::Netlist> make_variant_netlist(const arch::Variant
 class NetlistEngine final : public CipherEngine {
  public:
   NetlistEngine(std::shared_ptr<const netlist::Netlist> nl, core::IpMode mode,
-                const netlist::BatchConfig& cfg = {});
+                std::optional<netlist::BatchBackend> backend = {});
   explicit NetlistEngine(core::IpMode mode = core::IpMode::kBoth)
       : NetlistEngine(make_ip_netlist(mode), mode) {}
   /// Any variant-family member over an already-synthesized netlist (`nl`
   /// must be the gate graph of `spec` — farms pass their per-variant cache).
-  /// `cfg` overrides the batch backend / shard threads (testing knob).
+  /// `backend` overrides the batch backend (testing knob).
   NetlistEngine(std::shared_ptr<const netlist::Netlist> nl, const arch::VariantSpec& spec,
-                core::IpMode mode, const netlist::BatchConfig& cfg = {});
+                core::IpMode mode, std::optional<netlist::BatchBackend> backend = {});
   /// Synthesizing convenience for one-off variant engines.
   NetlistEngine(const arch::VariantSpec& spec, core::IpMode mode)
       : NetlistEngine(make_variant_netlist(spec, mode), spec, mode) {}

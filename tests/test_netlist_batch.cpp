@@ -8,15 +8,17 @@
 //
 // The whole suite runs against whatever backend AESIP_BATCH_BACKEND forces
 // (the ctest matrix runs it once per compiled-in backend: u64, avx2,
-// avx512, jit — and neon on aarch64).  When the forced backend is not
+// avx512 — and neon on aarch64).  When the forced backend is not
 // supported on this host, every test skips with the reason, mirroring the
 // hw<4 skips elsewhere in the suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -296,6 +298,39 @@ TEST_F(NetlistBatch, CombinationalCycleRejectionParity) {
   nl.add_output(y, "y");
   EXPECT_THROW(Evaluator scalar(nl), std::runtime_error);
   EXPECT_THROW(BatchEvaluator batch(nl), std::runtime_error);
+}
+
+// An unrecognized AESIP_BATCH_BACKEND — the name of a deleted backend, a
+// typo in a matrix row — must fail construction naming the value and the accepted
+// names, not silently fall back to auto-detection and pass.
+TEST_F(NetlistBatch, UnknownEnvBackendIsRejected) {
+  struct EnvRestore {
+    std::optional<std::string> saved;
+    EnvRestore() {
+      if (const char* v = std::getenv("AESIP_BATCH_BACKEND")) saved = v;
+    }
+    ~EnvRestore() {
+      if (saved)
+        ::setenv("AESIP_BATCH_BACKEND", saved->c_str(), 1);
+      else
+        ::unsetenv("AESIP_BATCH_BACKEND");
+    }
+  } restore;
+  Netlist nl;
+  nl.add_output_bus(nlist::synth_xtime(nl, nl.add_input_bus("a", 8)), "y");
+  for (const std::string bad : {"jit", "bogus"}) {
+    ::setenv("AESIP_BATCH_BACKEND", bad.c_str(), 1);
+    try {
+      BatchEvaluator batch(nl);
+      ADD_FAILURE() << "AESIP_BATCH_BACKEND=" << bad << " constructed a "
+                    << nlist::backend_name(batch.backend()) << " evaluator";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      for (const char* name : {"u64", "neon", "avx2", "avx512"})
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
 }
 
 // The full IP through the Table 1 protocol at every partial batch width
