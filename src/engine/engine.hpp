@@ -3,8 +3,8 @@
 //
 // A CipherEngine owns one cipher execution resource — a software AES, a
 // cycle-accurate behavioral IP, or a synthesized gate netlist — behind one
-// contract: load a key, submit a block, drain the result, and report where
-// the simulated cycles went in `core::IpCounters` terms.  Everything above
+// contract: load a key, process blocks, and report where the simulated
+// cycles went in `core::IpCounters` terms.  Everything above
 // (the farm's workers, the CLI, the benches, the conformance suite) speaks
 // this interface and never names a Simulator, BusDriver or Evaluator again.
 //
@@ -86,28 +86,11 @@ class CipherEngine {
   }
 
   // --- block path ------------------------------------------------------------
-  /// Stage one 16-byte block for processing. At most one block may be in
-  /// flight; a second submit before drain_result() throws.
-  void submit_block(std::span<const std::uint8_t> block, bool encrypt = true) {
-    if (staged_) throw std::logic_error("CipherEngine: block already submitted");
-    if (block.size() != 16) throw std::invalid_argument("CipherEngine: block must be 16 bytes");
-    std::array<std::uint8_t, 16> b{};
-    for (std::size_t i = 0; i < 16; ++i) b[i] = block[i];
-    staged_ = b;
-    staged_encrypt_ = encrypt;
-  }
-  /// Run the staged block to completion and return the 16-byte result.
-  std::array<std::uint8_t, 16> drain_result() {
-    if (!staged_) throw std::logic_error("CipherEngine: no block submitted");
-    const std::array<std::uint8_t, 16> b = *staged_;
-    staged_.reset();
-    return do_process(b, staged_encrypt_);
-  }
-  /// submit_block + drain_result in one call.
+  /// Run one 16-byte block to completion and return the 16-byte result.
   std::array<std::uint8_t, 16> process_block(std::span<const std::uint8_t> block,
                                              bool encrypt = true) {
-    submit_block(block, encrypt);
-    return drain_result();
+    if (block.size() != 16) throw std::invalid_argument("CipherEngine: block must be 16 bytes");
+    return do_process(block, encrypt);
   }
 
   // --- batch path ------------------------------------------------------------
@@ -178,10 +161,6 @@ class CipherEngine {
                                        std::span<std::uint8_t> out);
 
   BatchStats batch_stats_;
-
- private:
-  std::optional<std::array<std::uint8_t, 16>> staged_;
-  bool staged_encrypt_ = true;
 };
 
 /// Zero-cycle functional model: one aes::TTableRijndael per resident key
@@ -260,12 +239,6 @@ class BehavioralEngine final : public CipherEngine {
   /// observability beyond the engine contract.
   const core::BusCounters& bus_counters() const noexcept {
     return var_bus_ ? var_bus_->counters() : bus_->counters();
-  }
-  /// The paper-core bus driver; throws on non-iterative engines (their bus
-  /// is a GenericBusDriver<VariantIp>, a different concrete type).
-  core::BusDriver& bus() {
-    if (!bus_) throw std::logic_error("BehavioralEngine: variant engine has no paper-core bus");
-    return *bus_;
   }
 
  protected:

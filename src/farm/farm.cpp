@@ -15,14 +15,17 @@
 namespace aesip::farm {
 
 namespace {
-/// Reservoir bound for latency samples (~512 KiB of floats).
-constexpr std::size_t kLatencyCap = 1u << 17;
-
 /// Trace-event name table; TraceEvent::name indexes into this. The first
 /// three entries line up with the Mode enum so a job's name is its mode.
 constexpr const char* kTraceNames[] = {"ecb", "cbc", "ctr"};
 
 std::size_t block_count(std::size_t bytes) { return (bytes + aes::kBlock - 1) / aes::kBlock; }
+
+std::uint64_t us_since(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - t)
+          .count());
+}
 
 /// Stats label for an engine kind running a variant: the bare kind name
 /// for the paper core (backward-compatible), "kind:variant" otherwise.
@@ -150,12 +153,12 @@ void Farm::validate(const Request& req) {
                                 " payload must be a whole number of 16-byte blocks");
 }
 
-std::future<Result> Farm::submit(Request req) {
-  validate(req);
-  const std::size_t blocks = block_count(req.payload.size());
-  if (req.mode == Mode::kCtr && cfg_.workers > 1 && blocks >= cfg_.ctr_fanout_min_blocks)
-    return submit_fanout(std::move(req));
+bool Farm::fans_out(const Request& req) const noexcept {
+  return req.mode == Mode::kCtr && cfg_.workers > 1 &&
+         block_count(req.payload.size()) >= cfg_.ctr_fanout_min_blocks;
+}
 
+std::pair<BoundedQueue<Farm::Job>&, Farm::Job> Farm::route_job(Request&& req) {
   const auto route = sessions_.route(req.session_id, req.key);
   Job job;
   job.mode = req.mode;
@@ -165,30 +168,28 @@ std::future<Result> Farm::submit(Request req) {
   job.payload = std::move(req.payload);
   job.key_hot_predicted = route.key_hot;
   job.t_submit = std::chrono::steady_clock::now();
+  return {*queues_[static_cast<std::size_t>(route.worker)], std::move(job)};
+}
+
+std::future<Result> Farm::submit(Request req) {
+  validate(req);
+  if (fans_out(req)) return submit_fanout(std::move(req));
+  auto [queue, job] = route_job(std::move(req));
   auto future = job.promise.get_future();
-  if (!queues_[static_cast<std::size_t>(route.worker)]->push(std::move(job)))
-    throw std::runtime_error("farm: submit after shutdown");
-  queue_depth_hist_.record(queues_[static_cast<std::size_t>(route.worker)]->size());
+  if (!queue.push(std::move(job))) throw std::runtime_error("farm: submit after shutdown");
+  queue_depth_hist_.record(queue.size());
   return future;
 }
 
 std::optional<std::future<Result>> Farm::try_submit(Request req) {
   validate(req);
-  const auto route = sessions_.route(req.session_id, req.key);
-  Job job;
-  job.mode = req.mode;
-  job.encrypt = req.encrypt;
-  job.key = req.key;
-  job.iv = req.iv;
-  job.payload = std::move(req.payload);
-  job.key_hot_predicted = route.key_hot;
-  job.t_submit = std::chrono::steady_clock::now();
+  auto [queue, job] = route_job(std::move(req));
   auto future = job.promise.get_future();
-  if (!queues_[static_cast<std::size_t>(route.worker)]->try_push(std::move(job))) {
+  if (!queue.try_push(std::move(job))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  queue_depth_hist_.record(queues_[static_cast<std::size_t>(route.worker)]->size());
+  queue_depth_hist_.record(queue.size());
   return future;
 }
 
@@ -375,7 +376,11 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
       fan.cycles.fetch_add(cycles, std::memory_order_relaxed);
       fan.setup_cycles.fetch_add(setup, std::memory_order_relaxed);
       if (replayed) fan.replayed.store(true, std::memory_order_relaxed);
-      if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // The last chunk answers only a clean fan-out: a failed chunk already
+      // handed the caller its exception, and a failed request is not a
+      // completed one.
+      if (fan.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+          !fan.failed.load(std::memory_order_acquire)) {
         Result r;
         r.data.reserve(fan.total_bytes);
         for (auto& part : fan.parts) r.data.insert(r.data.end(), part.begin(), part.end());
@@ -384,7 +389,7 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
         r.setup_cycles = fan.setup_cycles.load(std::memory_order_relaxed);
         r.chunks = fan.parts.size();
         r.replayed = fan.replayed.load(std::memory_order_relaxed);
-        record_latency(fan.t_submit);
+        latency_us_hist_.record(us_since(fan.t_submit));
         requests_done_.fetch_add(1, std::memory_order_relaxed);
         fan.promise.set_value(std::move(r));
       }
@@ -396,7 +401,7 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
       r.cycles = cycles;
       r.setup_cycles = setup;
       r.replayed = replayed;
-      record_latency(job.t_submit);
+      latency_us_hist_.record(us_since(job.t_submit));
       requests_done_.fetch_add(1, std::memory_order_relaxed);
       job.promise.set_value(std::move(r));
     }
@@ -482,9 +487,7 @@ std::uint64_t Farm::heal_worker(WorkerContext& ctx, int index) {
   // rebuilt lazily here when the last key was a different geometry).
   if (ctx.has_key) ctx.engine_for(ctx.last_key.bits()).load_key(ctx.last_key.view());
   worker_engine_[static_cast<std::size_t>(index)].store(ctx.label, std::memory_order_relaxed);
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                        std::chrono::steady_clock::now() - t0)
-                                        .count());
+  return us_since(t0);
 }
 
 std::future<SwapReport> Farm::swap_engine(int worker, engine::EngineKind kind) {
@@ -512,10 +515,7 @@ std::future<SwapReport> Farm::swap_engine(int worker, engine::EngineKind kind,
         rep.setup_cycles = ctx.engine_for(ctx.last_key.bits()).load_key(ctx.last_key.view());
         rep.key_replayed = true;
       }
-      rep.pause_us = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                                t0)
-              .count());
+      rep.pause_us = us_since(t0);
       swap_pause_us_hist_.record(rep.pause_us);
       swaps_.fetch_add(1, std::memory_order_relaxed);
       worker_engine_[static_cast<std::size_t>(index)].store(label, std::memory_order_relaxed);
@@ -553,18 +553,6 @@ std::shared_ptr<const netlist::Netlist> Farm::shared_netlist() const {
   return shared_netlist_;
 }
 
-void Farm::record_latency(std::chrono::steady_clock::time_point t_submit) {
-  const auto us = std::chrono::duration<float, std::micro>(
-                      std::chrono::steady_clock::now() - t_submit)
-                      .count();
-  std::lock_guard lk(latency_mu_);
-  if (latencies_us_.size() < kLatencyCap)
-    latencies_us_.push_back(us);
-  else
-    latencies_us_[latency_count_ % kLatencyCap] = us;  // overwrite-oldest reservoir
-  ++latency_count_;
-}
-
 FarmStats Farm::stats() const {
   FarmStats s;
   s.workers = cfg_.workers;
@@ -600,6 +588,7 @@ FarmStats Farm::stats() const {
 
   s.queue_depth = queue_depth_hist_.snapshot();
   s.queue_wait_us = queue_wait_us_hist_.snapshot();
+  s.latency = latency_us_hist_.snapshot();
   if (tracer_) {
     s.trace_events = tracer_->recorded();
     s.trace_dropped = tracer_->dropped();
@@ -626,26 +615,6 @@ FarmStats Farm::stats() const {
     s.max_worker_cycles = std::max(s.max_worker_cycles, w.cycles);
     s.per_worker.push_back(w);
     s.queue_high_water = std::max(s.queue_high_water, queues_[i]->high_water());
-  }
-
-  {
-    std::lock_guard lk(latency_mu_);
-    s.latency.samples = latency_count_;
-    if (!latencies_us_.empty()) {
-      std::vector<float> sorted(latencies_us_);
-      std::sort(sorted.begin(), sorted.end());
-      const auto pct = [&](double p) {
-        const auto idx = static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
-        return static_cast<double>(sorted[idx]);
-      };
-      double sum = 0;
-      for (const float v : sorted) sum += v;
-      s.latency.mean_us = sum / static_cast<double>(sorted.size());
-      s.latency.p50_us = pct(0.50);
-      s.latency.p90_us = pct(0.90);
-      s.latency.p99_us = pct(0.99);
-      s.latency.max_us = static_cast<double>(sorted.back());
-    }
   }
   return s;
 }
@@ -684,6 +653,7 @@ void FarmStats::merge_from(const FarmStats& other) {
   queue_high_water = std::max(queue_high_water, other.queue_high_water);
   queue_depth.merge(other.queue_depth);
   queue_wait_us.merge(other.queue_wait_us);
+  latency.merge(other.latency);
 
   swaps += other.swaps;
   heals += other.heals;
@@ -707,18 +677,6 @@ void FarmStats::merge_from(const FarmStats& other) {
   total_cycles += other.total_cycles;
   max_worker_cycles = std::max(max_worker_cycles, other.max_worker_cycles);
   total_setup_cycles += other.total_setup_cycles;
-
-  // Percentile summaries cannot merge exactly; weighted mean + max bounds.
-  const auto n1 = latency.samples, n2 = other.latency.samples;
-  if (n1 + n2 > 0)
-    latency.mean_us = (latency.mean_us * static_cast<double>(n1) +
-                       other.latency.mean_us * static_cast<double>(n2)) /
-                      static_cast<double>(n1 + n2);
-  latency.p50_us = std::max(latency.p50_us, other.latency.p50_us);
-  latency.p90_us = std::max(latency.p90_us, other.latency.p90_us);
-  latency.p99_us = std::max(latency.p99_us, other.latency.p99_us);
-  latency.max_us = std::max(latency.max_us, other.latency.max_us);
-  latency.samples = n1 + n2;
 
   per_worker.insert(per_worker.end(), other.per_worker.begin(), other.per_worker.end());
 }
@@ -773,10 +731,13 @@ std::string FarmStats::report(double clock_ns) const {
       sim_mbps(clock_ns), clock_ns, sim_blocks_per_sec(clock_ns), workers);
   add("  host:      %.0f blocks/s wall clock over %.2f s\n", blocks_per_wall_sec(),
       wall_seconds);
-  if (latency.samples)
-    add("  latency:   p50 %.0f us, p90 %.0f us, p99 %.0f us, max %.0f us (%llu samples)\n",
-        latency.p50_us, latency.p90_us, latency.p99_us, latency.max_us,
-        static_cast<unsigned long long>(latency.samples));
+  if (latency.count)
+    add("  latency:   p50 %llu us, p90 %llu us, p99 %llu us, max %llu us (%llu samples)\n",
+        static_cast<unsigned long long>(latency.percentile(0.50)),
+        static_cast<unsigned long long>(latency.percentile(0.90)),
+        static_cast<unsigned long long>(latency.percentile(0.99)),
+        static_cast<unsigned long long>(latency.max),
+        static_cast<unsigned long long>(latency.count));
   if (trace_events)
     add("  trace:     %llu events recorded, %llu overwritten by ring wrap\n",
         static_cast<unsigned long long>(trace_events),
@@ -790,30 +751,6 @@ std::string FarmStats::report(double clock_ns) const {
         per_worker[i].enabled ? "" : ", quarantined");
   return out;
 }
-
-namespace {
-void write_histogram_json(report::JsonWriter& j, const obs::HistogramSnapshot& h) {
-  j.begin_object();
-  j.key("count").value(h.count);
-  j.key("sum").value(h.sum);
-  j.key("mean").value(h.mean());
-  j.key("max").value(h.max);
-  j.key("p50").value(h.percentile(0.50));
-  j.key("p90").value(h.percentile(0.90));
-  j.key("p99").value(h.percentile(0.99));
-  j.key("buckets").begin_array();  // [inclusive upper bound, count] pairs
-  for (int b = 0; b < obs::HistogramSnapshot::kBuckets; ++b) {
-    const auto n = h.buckets[static_cast<std::size_t>(b)];
-    if (!n) continue;
-    j.begin_array();
-    j.value(obs::HistogramSnapshot::bucket_upper(b));
-    j.value(n);
-    j.end_array();
-  }
-  j.end_array();
-  j.end_object();
-}
-}  // namespace
 
 void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   report::JsonWriter j(os);
@@ -834,9 +771,9 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("queue_capacity").value(queue_capacity);
   j.key("queue_high_water").value(queue_high_water);
   j.key("queue_depth");
-  write_histogram_json(j, queue_depth);
+  obs::write_json(j, queue_depth);
   j.key("queue_wait_us");
-  write_histogram_json(j, queue_wait_us);
+  obs::write_json(j, queue_wait_us);
   j.key("trace_events").value(trace_events);
   j.key("trace_dropped").value(trace_dropped);
   j.key("swaps").value(swaps);
@@ -851,7 +788,7 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("sessions_migrated").value(sessions_migrated);
   j.key("workers_enabled").value(workers_enabled);
   j.key("swap_pause_us");
-  write_histogram_json(j, swap_pause_us);
+  obs::write_json(j, swap_pause_us);
   j.key("wall_seconds").value(wall_seconds);
   j.key("blocks_per_wall_sec").value(blocks_per_wall_sec());
   j.key("total_cycles").value(total_cycles);
@@ -861,14 +798,8 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("clock_ns").value(clock_ns);
   j.key("sim_blocks_per_sec").value(sim_blocks_per_sec(clock_ns));
   j.key("sim_mbps").value(sim_mbps(clock_ns));
-  j.key("latency_us").begin_object();
-  j.key("mean").value(latency.mean_us);
-  j.key("p50").value(latency.p50_us);
-  j.key("p90").value(latency.p90_us);
-  j.key("p99").value(latency.p99_us);
-  j.key("max").value(latency.max_us);
-  j.key("samples").value(latency.samples);
-  j.end_object();
+  j.key("latency_us");
+  obs::write_json(j, latency);
   j.key("per_worker").begin_array();
   for (const auto& w : per_worker) {
     j.begin_object();

@@ -43,6 +43,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -97,7 +98,7 @@ struct FarmConfig {
   /// `spot_check_boost_fraction` (clamped up to at least the base rate)
   /// until `spot_check_decay_jobs` consecutive clean checks pass, then
   /// decays back to the base rate.  0 keeps the static policy.  Boost
-  /// episodes and boosted checks are counted in FarmStats / FleetStatus.
+  /// episodes and boosted checks are counted in FarmStats.
   double spot_check_boost_fraction = 0.0;
   std::uint64_t spot_check_decay_jobs = 64;
 };
@@ -147,6 +148,11 @@ class Farm {
   /// Non-blocking submit: nullopt (and stats().rejected++) when the routed
   /// queue is full. Never fans out — load shedding keeps one decision point.
   std::optional<std::future<Result>> try_submit(Request req);
+
+  /// True when submit() scatters `req` as CTR chunks over the workers
+  /// rather than queueing it on one: a CTR payload of at least
+  /// ctr_fanout_min_blocks on a farm of two or more workers.
+  bool fans_out(const Request& req) const noexcept;
 
   /// submit() + get(): the synchronous client call.
   Result process(Request req) { return submit(std::move(req)).get(); }
@@ -243,10 +249,12 @@ class Farm {
   };
 
   static void validate(const Request& req);
+  /// Route `req` by session/key affinity and wrap it as a whole-request
+  /// job; returns the routed worker's queue alongside the job.
+  std::pair<BoundedQueue<Job>&, Job> route_job(Request&& req);
   std::future<Result> submit_fanout(Request req);
   void worker_main(int index);
   void execute(Job& job, WorkerContext& ctx, int index);
-  void record_latency(std::chrono::steady_clock::time_point t_submit);
 
   /// The variant worker `index` is configured to run.
   arch::VariantSpec variant_for_worker(int index) const;
@@ -288,6 +296,7 @@ class Farm {
   // obs::Histogram / obs::Tracer for the memory-ordering story.
   obs::Histogram queue_depth_hist_;
   obs::Histogram queue_wait_us_hist_;
+  obs::Histogram latency_us_hist_;  ///< submit -> complete per answered request
   std::unique_ptr<obs::Tracer> tracer_;
 
   std::atomic<std::uint64_t> requests_done_{0};
@@ -315,10 +324,6 @@ class Farm {
   /// Per-worker engine label, written by the owner on swap/heal, read by
   /// stats(); values are static-duration kind names (or "custom").
   std::unique_ptr<std::atomic<const char*>[]> worker_engine_;
-
-  mutable std::mutex latency_mu_;
-  std::vector<float> latencies_us_;  ///< capped reservoir, see record_latency
-  std::uint64_t latency_count_ = 0;
 };
 
 }  // namespace aesip::farm

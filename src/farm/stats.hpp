@@ -36,11 +36,6 @@ struct WorkerStats {
   bool enabled = true;             ///< false while quarantined (no new routes)
 };
 
-struct LatencyStats {
-  double mean_us = 0, p50_us = 0, p90_us = 0, p99_us = 0, max_us = 0;
-  std::uint64_t samples = 0;
-};
-
 struct FarmStats {
   int workers = 0;
   std::string engine;  ///< CipherEngine kind the workers run ("custom" for factories)
@@ -91,7 +86,7 @@ struct FarmStats {
   std::uint64_t max_worker_cycles = 0;  ///< simulated makespan
   std::uint64_t total_setup_cycles = 0;
 
-  LatencyStats latency;  ///< host-side submit->complete, microseconds
+  obs::HistogramSnapshot latency;  ///< host-side submit -> complete per request, whole us
   std::vector<WorkerStats> per_worker;
 
   // --- derived -------------------------------------------------------------
@@ -119,11 +114,9 @@ struct FarmStats {
   /// Fold another farm's stats into this one — the cluster-wide roll-up
   /// (`aesip fleet status --nodes`). Counters and cycle totals add;
   /// gauges that count resources (workers, sessions_live, queue_capacity)
-  /// add; high-water marks and makespan take the max; histograms merge
-  /// exactly (log2 buckets align). LatencyStats percentiles cannot merge
-  /// exactly from summaries alone: mean is weighted by samples, the p50/
-  /// p90/p99/max fields take the max — an upper bound, never an
-  /// under-report. per_worker lists concatenate in call order.
+  /// add; high-water marks and makespan take the max; histograms (request
+  /// latency included) merge exactly, since log2 buckets align. per_worker
+  /// lists concatenate in call order.
   void merge_from(const FarmStats& other);
 
   /// Human-readable multi-line report (clock_ns scales the simulated-domain

@@ -4,11 +4,13 @@
 // process lifetime. This layer drops that assumption and manages the farm
 // the way an operator manages a rack of FPGA boards:
 //
-//   * FleetController — the admin facade: hot-swap a worker's engine
-//     (sw <-> behavioral <-> netlist) under live traffic, quarantine and
-//     resume workers, inject faults, and snapshot fleet health. It is a
-//     thin blocking wrapper over Farm's future-based control plane, shaped
-//     for the wire admin opcodes (net::Server) and the `aesip fleet` CLI.
+//   * FleetController — a blocking facade over Farm's future-based
+//     control plane: hot-swap a worker's engine (sw <-> behavioral <->
+//     netlist) under live traffic, quarantine and resume workers, inject
+//     faults. net::Server drives the same Farm calls asynchronously.
+//
+//   * write_status_json — the admin plane's fleet health JSON, rendered
+//     from Farm::stats(); FarmStats is the only fleet snapshot.
 //
 //   * ChaosInjector — SEU-driven chaos testing: flips netlist DFF state in
 //     a live NetlistEngine mid-traffic. Sites are chosen from the shared
@@ -31,39 +33,11 @@
 
 namespace aesip::fleet {
 
-/// One worker's health row in a fleet snapshot.
-struct WorkerStatus {
-  int worker = -1;
-  std::string engine;
-  bool enabled = true;
-  std::uint64_t blocks = 0;
-};
-
-/// Point-in-time fleet health: the reconfiguration counters plus one row
-/// per worker. A plain value — safe to serialize off the snapshot thread.
-struct FleetStatus {
-  std::string node;  ///< cluster node id ("" when not clustered) — labels roll-up rows
-  int workers = 0;
-  int workers_enabled = 0;
-  std::string batch_backend = "none";  ///< lane backend behind the workers' batch path
-  std::size_t batch_lanes = 1;         ///< blocks per engine pass on that backend
-  std::uint64_t swaps = 0;
-  std::uint64_t heals = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t spot_checks = 0;
-  std::uint64_t spot_mismatches = 0;
-  std::uint64_t replayed_jobs = 0;
-  std::uint64_t spot_boosts = 0;       ///< adaptive controller: boost episodes entered
-  std::uint64_t spot_boost_checks = 0; ///< checks sampled at the boosted rate
-  int workers_boosted = 0;             ///< gauge: workers currently boosted
-  std::uint64_t sessions_migrated = 0;
-  double swap_pause_p50_us = 0;
-  double swap_pause_max_us = 0;
-  std::vector<WorkerStatus> per_worker;
-
-  std::string report() const;
-  void write_json(std::ostream& os) const;
-};
+/// The fleet health JSON the admin plane answers kAdminStatus with: the
+/// reconfiguration counters of `s`, swap-pause p50/max in us, and one
+/// {worker, engine, enabled, blocks} row per worker. `node` (the cluster
+/// node id) labels the object for roll-ups; empty omits the key.
+void write_status_json(std::ostream& os, const farm::FarmStats& s, const std::string& node);
 
 /// Blocking admin facade over the farm's control plane.
 class FleetController {
@@ -92,8 +66,6 @@ class FleetController {
   /// Flip DFF `site` in `worker`'s live engine; false when the engine kind
   /// has no gate-level state (sw/behavioral).
   bool inject(int worker, std::size_t site) { return farm_.inject_fault(worker, site).get(); }
-
-  FleetStatus status() const;
 
   farm::Farm& farm() noexcept { return farm_; }
 

@@ -169,7 +169,7 @@ std::vector<std::uint8_t> Client::gossip(std::vector<std::uint8_t> view) {
 
 std::string Client::fleet_status_json() {
   const std::uint32_t seq = next_seq_++;
-  send(Op::kAdminFleetStatus, seq, {});
+  send(Op::kAdminStatus, seq, {});
   const auto p = wait_control(Op::kAdminStatusOk, seq);
   return std::string(p.begin(), p.end());
 }

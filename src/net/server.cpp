@@ -488,7 +488,7 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
       send_frame(c, Op::kGossipOk, f.seq, f.flags, director_->encode_view());
       return true;
     }
-    case Op::kAdminFleetStatus:
+    case Op::kAdminStatus:
     case Op::kAdminSwapEngine:
     case Op::kAdminQuarantine:
     case Op::kAdminInject:
@@ -516,7 +516,7 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
 /// The fleet admin plane. Quarantine and status answer inline; swap and
 /// inject execute on the target worker's own thread, so the response is
 /// parked as a PendingAdmin the reap pass polls — the loop never blocks on
-/// a worker. admin_mu_ serializes the fleet facade across event loops.
+/// a worker. admin_mu_ serializes the control actions across event loops.
 bool Server::handle_admin_frame(Connection& c, Frame&& f) {
   if (!cfg_.admin) {
     send_error(c, f.seq, ErrorCode::kAdminDisabled, "admin plane disabled", /*fatal=*/false);
@@ -526,14 +526,9 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
   const int workers = cfg_.farm.workers;
 
   switch (f.op) {
-    case Op::kAdminFleetStatus: {
+    case Op::kAdminStatus: {
       std::ostringstream os;
-      {
-        std::lock_guard lk(admin_mu_);
-        fleet::FleetStatus st = fleet_.status();
-        if (cfg_.cluster) st.node = cfg_.cluster->node_id;
-        st.write_json(os);
-      }
+      fleet::write_status_json(os, farm_.stats(), cfg_.cluster ? cfg_.cluster->node_id : "");
       const std::string s = os.str();
       send_frame(c, Op::kAdminStatusOk, f.seq, f.flags,
                  std::vector<std::uint8_t>(s.begin(), s.end()));
@@ -608,10 +603,7 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
       bool serving = true;
       {
         std::lock_guard lk(admin_mu_);
-        if (resume)
-          fleet_.resume(w);
-        else
-          fleet_.quarantine(w);
+        farm_.set_worker_enabled(w, resume);
         serving = farm_.stats().workers_enabled > 0;
       }
       // Cluster tie-in: a node whose last worker is quarantined cannot do
@@ -717,19 +709,18 @@ bool Server::submit_request(Connection& c, Frame& f) {
     std::copy(f.payload.begin() + 1, f.payload.begin() + 17, req.iv.begin());
   }
   req.payload.assign(f.payload.begin() + static_cast<std::ptrdiff_t>(head), f.payload.end());
-  const std::uint64_t blocks = (req.payload.size() + aes::kBlock - 1) / aes::kBlock;
 
   Connection::InFlight inf;
   inf.seq = f.seq;
   inf.flags = f.flags;
   inf.t_received = std::chrono::steady_clock::now();
-  inf.blocks = blocks;
+  inf.blocks = (req.payload.size() + aes::kBlock - 1) / aes::kBlock;
   inf.trace_name = trace_name_of(f.op);
 
   // Fan-out-sized CTR streams go through the blocking submit so they keep
   // the farm's chunk-scatter path; the wait is bounded by the farm's own
   // queue capacity and workers never block on this thread, so it's short.
-  if (is_ctr && cfg_.farm.workers > 1 && blocks >= cfg_.farm.ctr_fanout_min_blocks) {
+  if (farm_.fans_out(req)) {
     inf.future = farm_.submit(std::move(req));
   } else {
     auto maybe = farm_.try_submit(std::move(req));

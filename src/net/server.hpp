@@ -217,9 +217,8 @@ class Server {
   ServerConfig cfg_;
   Transport* transport_;  ///< for the gossip thread's outbound dials
   farm::Farm farm_;
-  fleet::FleetController fleet_{farm_};  ///< admin facade (guarded by admin_mu_)
-  fleet::ChaosInjector chaos_;           ///< site classification for kAdminInject
-  std::mutex admin_mu_;                  ///< fleet_/chaos_ may be hit from any loop
+  fleet::ChaosInjector chaos_;  ///< site classification for kAdminInject
+  std::mutex admin_mu_;         ///< control actions and chaos_ may come from any loop
   std::unique_ptr<Listener> listener_;
   std::string address_;
   const char* poller_ = "";  ///< what idle loops sleep on (ServerStats::poller)

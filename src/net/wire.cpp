@@ -15,7 +15,7 @@ const char* op_name(Op op) noexcept {
     case Op::kStats: return "stats";
     case Op::kDrain: return "drain";
     case Op::kBye: return "bye";
-    case Op::kAdminFleetStatus: return "admin_fleet_status";
+    case Op::kAdminStatus: return "admin_fleet_status";
     case Op::kAdminSwapEngine: return "admin_swap_engine";
     case Op::kAdminQuarantine: return "admin_quarantine";
     case Op::kAdminInject: return "admin_inject";
@@ -46,7 +46,7 @@ bool is_request_op(Op op) noexcept {
     case Op::kStats:
     case Op::kDrain:
     case Op::kBye:
-    case Op::kAdminFleetStatus:
+    case Op::kAdminStatus:
     case Op::kAdminSwapEngine:
     case Op::kAdminQuarantine:
     case Op::kAdminInject:

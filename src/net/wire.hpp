@@ -43,7 +43,7 @@
 //               is the sender's encoded Director view -> kGossipOk carries
 //               the receiver's view back. Refused with kNotClustered at a
 //               server running without --cluster.
-//   kAdminFleetStatus  empty -> kAdminStatusOk carries the fleet JSON
+//   kAdminStatus       empty -> kAdminStatusOk carries the fleet JSON
 //   kAdminSwapEngine   [u8 worker, 0xFF = all][u8 EngineKind: 0=sw
 //                      1=behavioral 2=netlist][optional variant name bytes,
 //                      e.g. "pipe5-xtime" (arch::VariantSpec::parse); absent
@@ -105,7 +105,7 @@ enum class Op : std::uint8_t {
   kStats = 0x07,
   kDrain = 0x08,
   kBye = 0x09,
-  kAdminFleetStatus = 0x0A,
+  kAdminStatus = 0x0A,
   kAdminSwapEngine = 0x0B,
   kAdminQuarantine = 0x0C,
   kAdminInject = 0x0D,

@@ -19,6 +19,10 @@
 #include <bit>
 #include <cstdint>
 
+namespace aesip::report {
+class JsonWriter;
+}
+
 namespace aesip::obs {
 
 /// Plain-value copy of a Histogram, safe to serialize and compare.
@@ -69,6 +73,11 @@ struct HistogramSnapshot {
     return max;
   }
 };
+
+/// The one JSON rendering of a distribution: count, sum, mean, max,
+/// p50/p90/p99 and the non-empty buckets as [inclusive upper bound, count]
+/// pairs, so a reader can re-derive any percentile or merge across dumps.
+void write_json(report::JsonWriter& j, const HistogramSnapshot& h);
 
 class Histogram {
  public:

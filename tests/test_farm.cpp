@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -289,6 +291,115 @@ TEST(Farm, CtrFanoutIsBitExactIncludingRaggedTail) {
   const auto st = f.stats();
   EXPECT_EQ(st.ctr_fanouts, 1u);
   EXPECT_EQ(st.ctr_chunks, 11u);  // ceil(41 / 4)
+}
+
+namespace {
+
+/// Software engine that fails chunk 0 of a zero-IV CTR fan-out and parks
+/// chunk 1 until released: with chunk_blocks = 32, the counter blocks
+/// 0..0 and 0..0x20 are the first blocks of chunks 0 and 1.
+struct FanoutGate {
+  std::atomic<bool> slow_started{false};
+  std::atomic<bool> release{false};
+};
+
+class GatedEngine final : public engine::CipherEngine {
+ public:
+  explicit GatedEngine(FanoutGate& gate) : gate_(gate) {}
+  engine::EngineKind kind() const noexcept override { return inner_.kind(); }
+  aesip::core::IpMode mode() const noexcept override { return inner_.mode(); }
+  std::uint64_t load_key(std::span<const std::uint8_t> key) override {
+    return inner_.load_key(key);
+  }
+  bool key_resident(std::span<const std::uint8_t> key) const override {
+    return inner_.key_resident(key);
+  }
+  std::uint64_t cycles() const noexcept override { return 0; }
+  std::uint64_t last_latency() const noexcept override { return 0; }
+  aesip::core::IpCounters counters() const override { return inner_.counters(); }
+
+ protected:
+  std::array<std::uint8_t, 16> do_process(std::span<const std::uint8_t> block,
+                                          bool encrypt) override {
+    if (std::all_of(block.begin(), block.end() - 1, [](std::uint8_t b) { return b == 0; })) {
+      if (block[15] == 0) throw std::runtime_error("chunk 0 engine fault");
+      if (block[15] == 32) {
+        gate_.slow_started.store(true);
+        while (!gate_.release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return inner_.process_block(block, encrypt);
+  }
+
+ private:
+  FanoutGate& gate_;
+  engine::SoftwareEngine inner_;
+};
+
+}  // namespace
+
+// A fan-out whose chunk 0 throws while chunk 1 is still running: the
+// caller gets the exception, and when chunk 1 finishes last it must not
+// answer the request a second time nor count it as completed.
+TEST(Farm, FailedCtrFanoutIsNotCountedAsCompleted) {
+  FanoutGate gate;
+  farm::FarmConfig cfg;
+  cfg.workers = 2;
+  cfg.ctr_chunk_blocks = 32;
+  cfg.ctr_fanout_min_blocks = 64;
+  cfg.engine_factory = [&gate] { return std::make_unique<GatedEngine>(gate); };
+  farm::Farm f(cfg);
+
+  std::mt19937 rng(5);
+  farm::Request req;
+  req.mode = farm::Mode::kCtr;
+  req.key = random_key128(rng);
+  req.payload = random_payload(rng, 64 * 16);  // iv stays all-zero
+  auto fut = f.submit(std::move(req));
+  while (!gate.slow_started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_THROW(fut.get(), std::runtime_error);
+
+  // Release chunk 1, then fence both workers: a control job runs only
+  // after the job its worker is executing has returned.
+  gate.release.store(true);
+  for (int w = 0; w < cfg.workers; ++w) EXPECT_FALSE(f.inject_fault(w, 0).get());
+
+  const auto st = f.stats();
+  EXPECT_EQ(st.ctr_fanouts, 1u);
+  EXPECT_EQ(st.ctr_chunks, 2u);
+  EXPECT_EQ(st.requests, 0u);
+  EXPECT_EQ(st.latency.count, 0u);
+  std::uint64_t chunks_run = 0;
+  for (const auto& w : st.per_worker) chunks_run += w.requests;
+  EXPECT_EQ(chunks_run, 1u);  // chunk 1 ran to the end; chunk 0 threw
+}
+
+// The cluster roll-up merges request latency exactly, bucket by bucket.
+TEST(Farm, MergeFromSumsLatencyHistograms) {
+  std::mt19937 rng(17);
+  const auto key = random_key128(rng);
+  std::vector<farm::FarmStats> parts;
+  for (int n : {5, 9}) {
+    farm::FarmConfig cfg;
+    cfg.workers = 2;
+    cfg.engine = engine::EngineKind::kSoftware;
+    farm::Farm f(cfg);
+    for (int i = 0; i < n; ++i) f.process(random_request(rng, static_cast<std::uint64_t>(i), key));
+    parts.push_back(f.stats());
+  }
+  const auto& a = parts[0];
+  const auto& b = parts[1];
+  EXPECT_EQ(a.latency.count, 5u);
+  EXPECT_EQ(b.latency.count, 9u);
+
+  farm::FarmStats merged = a;
+  merged.merge_from(b);
+  EXPECT_EQ(merged.requests, 14u);
+  EXPECT_EQ(merged.latency.count, a.latency.count + b.latency.count);
+  EXPECT_EQ(merged.latency.sum, a.latency.sum + b.latency.sum);
+  EXPECT_EQ(merged.latency.max, std::max(a.latency.max, b.latency.max));
+  for (std::size_t i = 0; i < merged.latency.buckets.size(); ++i)
+    EXPECT_EQ(merged.latency.buckets[i], a.latency.buckets[i] + b.latency.buckets[i]) << i;
 }
 
 TEST(Farm, CtrFanoutCrossesCounterCarryBoundary) {

@@ -9,6 +9,7 @@
 #include <future>
 #include <memory>
 #include <random>
+#include <regex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -185,7 +186,7 @@ TEST(FleetSwap, ControllerSwapAllOverlaps) {
   const auto reports = ctl.swap_all(engine::EngineKind::kBehavioral);
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& r : reports) EXPECT_EQ(r.to, std::string("behavioral"));
-  const auto status = ctl.status();
+  const auto status = f.stats();
   EXPECT_EQ(status.swaps, 3u);
   for (const auto& w : status.per_worker) EXPECT_EQ(w.engine, "behavioral");
 }
@@ -236,7 +237,7 @@ TEST(FleetSpotCheck, MismatchReplaysBitExactAndHeals) {
 
 // The adaptive controller: a mismatch flips the worker to the boosted
 // sampling rate; spot_check_decay_jobs consecutive clean checks decay it
-// back. Counters surface through FarmStats, FleetStatus and its JSON.
+// back. Counters surface through FarmStats and the admin status JSON.
 TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   farm::FarmConfig cfg;
   cfg.workers = 1;
@@ -246,7 +247,6 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   cfg.heal_on_mismatch = true;
   cfg.engine_factory = [] { return std::make_unique<FaultyEngine>(); };
   farm::Farm f(cfg);
-  fleet::FleetController ctl(f);
 
   std::mt19937 rng(9);
   farm::Key128 key;
@@ -282,13 +282,13 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   EXPECT_EQ(st.spot_boosts, 2u);
   EXPECT_EQ(st.workers_boosted, 1);
 
-  // FleetStatus mirrors the counters, in the struct and in the JSON.
-  const auto status = ctl.status();
+  // The admin status JSON mirrors the counters.
+  const auto status = f.stats();
   EXPECT_EQ(status.spot_boosts, 2u);
   EXPECT_EQ(status.spot_boost_checks, 3u);
   EXPECT_EQ(status.workers_boosted, 1);
   std::ostringstream os;
-  status.write_json(os);
+  fleet::write_status_json(os, status, "");
   EXPECT_NE(os.str().find("\"spot_boosts\": 2"), std::string::npos) << os.str();
   EXPECT_NE(os.str().find("\"workers_boosted\": 1"), std::string::npos) << os.str();
 }
@@ -442,6 +442,43 @@ TEST(FleetAdmin, OpcodesOverLoopback) {
   }
   server.stop();
   EXPECT_EQ(server.stats().admin_frames, 6u);
+}
+
+// The admin status JSON is a dashboard contract: every key, in order, on
+// the top-level object and on each per-worker row. A dropped or renamed
+// key fails here.
+TEST(FleetAdmin, StatusJsonKeySetIsPinned) {
+  net::LoopbackTransport transport;
+  net::Server server(transport, "keys", admin_server_cfg(2));
+  server.start();
+  std::string status;
+  {
+    net::Client client(transport, "keys", 1);
+    status = client.fleet_status_json();
+    client.bye();
+  }
+  server.stop();
+
+  std::vector<std::string> keys;
+  const std::regex key_re("\"([a-z0-9_]+)\":");
+  for (auto it = std::sregex_iterator(status.begin(), status.end(), key_re);
+       it != std::sregex_iterator(); ++it)
+    keys.push_back((*it)[1]);
+  std::vector<std::string> want = {
+      "workers",          "workers_enabled",   "batch_backend",     "batch_lanes",
+      "swaps",            "heals",             "quarantines",       "spot_checks",
+      "spot_mismatches",  "replayed_jobs",     "spot_boosts",       "spot_boost_checks",
+      "workers_boosted",  "sessions_migrated", "swap_pause_p50_us", "swap_pause_max_us",
+      "per_worker"};
+  for (int w = 0; w < 2; ++w)
+    for (const char* k : {"worker", "engine", "enabled", "blocks"}) want.emplace_back(k);
+  EXPECT_EQ(keys, want) << status;
+
+  for (const char* needle :
+       {"\"workers\": 2", "\"workers_enabled\": 2", "\"swaps\": 0", "\"swap_pause_p50_us\": 0",
+        "\"swap_pause_max_us\": 0", "\"worker\": 1", "\"engine\": \"sw\"", "\"enabled\": true",
+        "\"blocks\": 0"})
+    EXPECT_NE(status.find(needle), std::string::npos) << needle << "\n" << status;
 }
 
 TEST(FleetAdmin, DisabledPlaneRefusesEveryAdminOp) {
