@@ -7,7 +7,7 @@
 //
 //   synthesize  -> techmap::map_to_luts     => logic elements (the paper's
 //                                              Table 2 area unit)
-//   gate netlist -> GateIpDriver            => measured single-block
+//   gate netlist -> GateDriver              => measured single-block
 //                                              latency and streamed
 //                                              cycles/block (multiple
 //                                              blocks in flight on the
@@ -106,7 +106,7 @@ VariantRow measure_variant(const arch::VariantSpec& spec) {
   std::array<std::uint8_t, 16> want{};
   ref.encrypt_block(pt, want);
 
-  core::GateIpDriver drv(nl);
+  core::GateDriver<aesip::netlist::Evaluator> drv(nl);
   drv.reset();
   drv.load_key(key, spec.key_setup_cycles(core::IpMode::kBoth));
 
@@ -117,7 +117,7 @@ VariantRow measure_variant(const arch::VariantSpec& spec) {
   exact = exact && enc && enc->data == want;
   row.latency_cycles = enc ? enc->cycles : -1;
   const auto dec = enc ? drv.process(enc->data, /*encrypt=*/false)
-                       : std::optional<core::GateIpDriver::BlockResult>{};
+                       : std::optional<core::GateDriver<aesip::netlist::Evaluator>::BlockResult>{};
   exact = exact && dec && dec->data == pt;
 
   std::mt19937 rng(2026);

@@ -134,7 +134,7 @@ struct BackendPoint {
 };
 
 struct NetlistBatchResult {
-  double ns_per_block_scalar = 0;  // scalar Evaluator via GateIpDriver
+  double ns_per_block_scalar = 0;  // scalar Evaluator via GateDriver
   double ns_per_block_u64 = 0;     // the 64-lane portable baseline
   double ns_per_block_batch = 0;   // the active (widest native) backend
   double speedup_per_block = 0;    // scalar / active
@@ -161,7 +161,7 @@ NetlistBatchResult measure_netlist_batch() {
   const std::array<std::uint8_t, 16> key{1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 6};
   NetlistBatchResult r;
 
-  core::GateIpDriver sd(*nl);
+  core::GateDriver<netlist::Evaluator> sd(*nl);
   sd.reset();
   sd.load_key(key, true);
   std::array<std::uint8_t, 16> block{};
@@ -188,7 +188,7 @@ NetlistBatchResult measure_netlist_batch() {
       r.backends.push_back(std::move(pt));
       continue;
     }
-    core::GateIpBatchDriver bd(*nl, b);
+    core::GateDriver<netlist::BatchEvaluator> bd(*nl, b);
     bd.reset();
     bd.load_key(key, true);
     r.tape_ops = bd.evaluator().tape_size();
@@ -197,12 +197,12 @@ NetlistBatchResult measure_netlist_batch() {
     std::vector<std::uint8_t> in(16 * pt.lanes);
     std::vector<std::uint8_t> out(in.size());
     for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::uint8_t>(i * 37 + 11);
-    bd.process_batch(in, out, pt.lanes, true);  // warm up
+    bd.process(in, out, pt.lanes, true);  // warm up
     std::vector<std::size_t> points{1, 8, 64};
     if (pt.lanes > 64) points.push_back(pt.lanes);
     for (const std::size_t lanes : points) {
       const auto t0 = std::chrono::steady_clock::now();
-      for (int p = 0; p < kBatchPasses; ++p) bd.process_batch(in, out, lanes, true);
+      for (int p = 0; p < kBatchPasses; ++p) bd.process(in, out, lanes, true);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns_per_block =
           static_cast<double>(

@@ -5,93 +5,157 @@
 
 namespace aesip::core {
 
-GateIpDriver::GateIpDriver(const netlist::Netlist& nl) : ev_(nl) {
+template <class Ev>
+void GateDriver<Ev>::bind(const netlist::Netlist& nl) {
   for (const auto& pi : nl.inputs()) by_name_[pi.name] = pi.net;
   for (const auto& po : nl.outputs()) out_by_name_[po.name] = po.net;
   for (int i = 0; i < 128; ++i) {
     din_.push_back(by_name_.at("din[" + std::to_string(i) + "]"));
     dout_.push_back(out_by_name_.at("dout[" + std::to_string(i) + "]"));
   }
-  set("setup", false);
-  set("wr_data", false);
-  set("wr_key", false);
-  if (has_input("encdec")) set("encdec", true);
+  setup_ = input("setup");
+  wr_key_ = input("wr_key");
+  wr_data_ = input("wr_data");
+  if (has_input("encdec")) encdec_ = input("encdec");
+  if (const auto it = out_by_name_.find("data_ok"); it != out_by_name_.end()) data_ok_ = it->second;
+  drive(setup_, false);
+  drive(wr_data_, false);
+  drive(wr_key_, false);
+  if (encdec_ != netlist::kNoNet) drive(encdec_, true);
   ev_.settle();
 }
 
-void GateIpDriver::set_din(std::span<const std::uint8_t> block) {
-  for (int k = 0; k < 16; ++k)
-    for (int b = 0; b < 8; ++b)
-      ev_.set(din_[static_cast<std::size_t>(8 * k + b)],
-              (block[static_cast<std::size_t>(k)] >> b) & 1);
+template <class Ev>
+void GateDriver<Ev>::set_din(std::span<const std::uint8_t> in, std::size_t n) {
+  if constexpr (kScalar) {
+    (void)n;
+    for (int k = 0; k < 16; ++k)
+      for (int b = 0; b < 8; ++b)
+        ev_.set(din_[static_cast<std::size_t>(8 * k + b)],
+                (in[static_cast<std::size_t>(k)] >> b) & 1);
+  } else {
+    using Word = netlist::BatchEvaluator::Word;
+    constexpr std::size_t kWordLanes = netlist::BatchEvaluator::kBaseLanes;
+    const std::size_t stride = ev_.stride();
+    for (int k = 0; k < 16; ++k)
+      for (int b = 0; b < 8; ++b) {
+        for (std::size_t g = 0; g < stride; ++g) {
+          Word w = 0;
+          for (std::size_t l = 0; l < kWordLanes; ++l) {
+            const std::size_t lane = g * kWordLanes + l;
+            const std::size_t src = lane < n ? lane : 0;
+            w |= Word{(in[16 * src + static_cast<std::size_t>(k)] >> b) & 1U} << l;
+          }
+          ev_.set_word(din_[static_cast<std::size_t>(8 * k + b)], w, g);
+        }
+      }
+  }
 }
 
-std::array<std::uint8_t, 16> GateIpDriver::read_dout() const {
-  std::array<std::uint8_t, 16> out{};
-  for (int k = 0; k < 16; ++k)
-    for (int b = 0; b < 8; ++b)
-      if (ev_.get(dout_[static_cast<std::size_t>(8 * k + b)]))
-        out[static_cast<std::size_t>(k)] |= static_cast<std::uint8_t>(1U << b);
-  return out;
+template <class Ev>
+void GateDriver<Ev>::read_dout(std::span<std::uint8_t> out, std::size_t n) const {
+  if constexpr (kScalar) {
+    (void)n;
+    for (int k = 0; k < 16; ++k) {
+      std::uint8_t byte = 0;
+      for (int b = 0; b < 8; ++b)
+        if (ev_.get(dout_[static_cast<std::size_t>(8 * k + b)]))
+          byte |= static_cast<std::uint8_t>(1U << b);
+      out[static_cast<std::size_t>(k)] = byte;
+    }
+  } else {
+    constexpr std::size_t kWordLanes = netlist::BatchEvaluator::kBaseLanes;
+    for (std::size_t i = 0; i < 16 * n; ++i) out[i] = 0;
+    for (int k = 0; k < 16; ++k)
+      for (int b = 0; b < 8; ++b) {
+        for (std::size_t g = 0; g * kWordLanes < n; ++g) {
+          const auto w = ev_.word(dout_[static_cast<std::size_t>(8 * k + b)], g);
+          const std::size_t top = std::min(n - g * kWordLanes, kWordLanes);
+          for (std::size_t l = 0; l < top; ++l)
+            if ((w >> l) & 1U)
+              out[16 * (g * kWordLanes + l) + static_cast<std::size_t>(k)] |=
+                  static_cast<std::uint8_t>(1U << b);
+        }
+      }
+  }
 }
 
-void GateIpDriver::clock() {
-  if (ev_.stale()) ev_.settle();
-  ev_.clock();
-  ++cycles_;
-}
-
-void GateIpDriver::reset() {
-  set("setup", true);
+template <class Ev>
+void GateDriver<Ev>::reset() {
+  drive(setup_, true);
   clock();
-  set("setup", false);
+  drive(setup_, false);
   clock();
 }
 
-void GateIpDriver::load_key(std::span<const std::uint8_t> key, bool needs_setup) {
+template <class Ev>
+void GateDriver<Ev>::load_key(std::span<const std::uint8_t> key, bool needs_setup) {
   // The iterative inverse-schedule pass costs 4 generation cycles per round
   // (4*Nr = 40/48/56), with Nr inferred from the key length.
   const int nr = static_cast<int>(key.size()) / 4 + 6;
   load_key(key, needs_setup ? 4 * nr : 0);
 }
 
-void GateIpDriver::load_key(std::span<const std::uint8_t> key, int setup_cycles) {
+template <class Ev>
+void GateDriver<Ev>::load_key(std::span<const std::uint8_t> key, int setup_cycles) {
   // Keys wider than the 128-bit din ride consecutive wr_key beats
-  // (words 0..3, then words 4..Nk-1 in the low lanes).
+  // (words 0..3, then words 4..Nk-1 in the low lanes); each beat
+  // replicates into every lane.
   for (std::size_t off = 0; off < key.size(); off += 16) {
     std::array<std::uint8_t, 16> beat{};
     const std::size_t n = std::min<std::size_t>(16, key.size() - off);
     for (std::size_t i = 0; i < n; ++i) beat[i] = key[off + i];
     set_din(beat);
-    set("wr_key", true);
+    drive(wr_key_, true);
     clock();
-    set("wr_key", false);
+    drive(wr_key_, false);
   }
   for (int i = 0; i < setup_cycles; ++i) clock();
 }
 
-std::optional<GateIpDriver::BlockResult> GateIpDriver::process(
-    std::span<const std::uint8_t> block, bool encrypt, int watchdog_cycles) {
-  if (has_input("encdec")) set("encdec", encrypt);
-  set_din(block);
-  set("wr_data", true);
-  clock();  // the load edge
-  set("wr_data", false);
+template <class Ev>
+std::optional<typename GateDriver<Ev>::PassResult> GateDriver<Ev>::process(
+    std::span<const std::uint8_t> in, std::span<std::uint8_t> out, std::size_t n, bool encrypt,
+    int watchdog_cycles) {
+  if (n < 1 || n > lanes())
+    throw std::invalid_argument("GateDriver: batch size must be 1.." + std::to_string(lanes()));
+  if (in.size() < 16 * n || out.size() < 16 * n)
+    throw std::invalid_argument("GateDriver: need 16 bytes per lane");
+  if (encdec_ != netlist::kNoNet) drive(encdec_, encrypt);
+  set_din(in, n);
+  drive(wr_data_, true);
+  clock(n);  // the load edge, n blocks wide
+  drive(wr_data_, false);
   for (int i = 1; i <= watchdog_cycles; ++i) {
-    clock();
-    if (data_ok()) return BlockResult{read_dout(), i};
+    clock(n);
+    if (data_ok()) {
+      read_dout(out, n);
+      return PassResult{i};
+    }
   }
   return std::nullopt;
 }
 
-std::optional<GateIpDriver::StreamResult> GateIpDriver::stream(std::span<const std::uint8_t> in,
-                                                               std::span<std::uint8_t> out,
-                                                               std::size_t blocks, bool encrypt,
-                                                               int watchdog_cycles) {
+template <class Ev>
+std::optional<typename GateDriver<Ev>::BlockResult> GateDriver<Ev>::process(
+    std::span<const std::uint8_t> block, bool encrypt, int watchdog_cycles) {
+  BlockResult r{};
+  const auto pass = process(block, r.data, 1, encrypt, watchdog_cycles);
+  if (!pass) return std::nullopt;
+  r.cycles = pass->cycles;
+  return r;
+}
+
+template <class Ev>
+std::optional<typename GateDriver<Ev>::StreamResult> GateDriver<Ev>::stream(
+    std::span<const std::uint8_t> in, std::span<std::uint8_t> out, std::size_t blocks,
+    bool encrypt, int watchdog_cycles)
+  requires kScalar
+{
   if (in.size() < 16 * blocks || out.size() < 16 * blocks)
-    throw std::invalid_argument("GateIpDriver: need 16 bytes per block");
+    throw std::invalid_argument("GateDriver: need 16 bytes per block");
   if (blocks == 0) return StreamResult{0};
-  if (has_input("encdec")) set("encdec", encrypt);
+  if (encdec_ != netlist::kNoNet) drive(encdec_, encrypt);
   const bool has_ready = out_by_name_.count("in_ready") != 0;
   const netlist::NetId ready_net = has_ready ? out_by_name_.at("in_ready") : netlist::kNoNet;
 
@@ -116,22 +180,20 @@ std::optional<GateIpDriver::StreamResult> GateIpDriver::stream(std::span<const s
     bool fed_idle = false;
     if (feed) {
       set_din(in.subspan(16 * next, 16));
-      set("wr_data", true);
+      drive(wr_data_, true);
       fed_idle = !has_ready && admitted == done;  // idle core admits on the load edge
       ++next;
     } else {
-      set("wr_data", false);
+      drive(wr_data_, false);
     }
     const bool was_first = feed && !first_fed;
     first_fed = first_fed || feed;
     clock();
-    set("wr_data", false);
+    drive(wr_data_, false);
     if (was_first) first = cycles_;
     if (fed_idle) ++admitted;
     if (data_ok()) {
-      const auto block = read_dout();
-      for (int k = 0; k < 16; ++k) out[16 * done + static_cast<std::size_t>(k)] =
-          block[static_cast<std::size_t>(k)];
+      read_dout(out.subspan(16 * done, 16));
       ++done;
       last = cycles_;
       if (admitted < next) ++admitted;  // the finish edge admits a pending block
@@ -141,112 +203,7 @@ std::optional<GateIpDriver::StreamResult> GateIpDriver::stream(std::span<const s
   return StreamResult{static_cast<int>(last - first)};
 }
 
-// --- GateIpBatchDriver -------------------------------------------------------
-
-GateIpBatchDriver::GateIpBatchDriver(const netlist::Netlist& nl,
-                                     std::optional<netlist::BatchBackend> backend)
-    : ev_(nl, backend) {
-  for (const auto& pi : nl.inputs()) by_name_[pi.name] = pi.net;
-  for (const auto& po : nl.outputs()) out_by_name_[po.name] = po.net;
-  for (int i = 0; i < 128; ++i) {
-    din_.push_back(by_name_.at("din[" + std::to_string(i) + "]"));
-    dout_.push_back(out_by_name_.at("dout[" + std::to_string(i) + "]"));
-  }
-  set_broadcast("setup", false);
-  set_broadcast("wr_data", false);
-  set_broadcast("wr_key", false);
-  if (has_input("encdec")) set_broadcast("encdec", true);
-  ev_.settle();
-}
-
-void GateIpBatchDriver::set_din_lanes(std::span<const std::uint8_t> in, std::size_t n) {
-  using Word = netlist::BatchEvaluator::Word;
-  constexpr std::size_t kWordLanes = netlist::BatchEvaluator::kBaseLanes;
-  const std::size_t stride = ev_.stride();
-  for (int k = 0; k < 16; ++k)
-    for (int b = 0; b < 8; ++b) {
-      for (std::size_t g = 0; g < stride; ++g) {
-        Word w = 0;
-        for (std::size_t l = 0; l < kWordLanes; ++l) {
-          // Inactive lanes replicate lane 0 so every lane clocks real data.
-          const std::size_t lane = g * kWordLanes + l;
-          const std::size_t src = lane < n ? lane : 0;
-          w |= Word{(in[16 * src + static_cast<std::size_t>(k)] >> b) & 1U} << l;
-        }
-        ev_.set_word(din_[static_cast<std::size_t>(8 * k + b)], w, g);
-      }
-    }
-}
-
-void GateIpBatchDriver::read_dout_lanes(std::span<std::uint8_t> out, std::size_t n) const {
-  constexpr std::size_t kWordLanes = netlist::BatchEvaluator::kBaseLanes;
-  for (std::size_t i = 0; i < 16 * n; ++i) out[i] = 0;
-  for (int k = 0; k < 16; ++k)
-    for (int b = 0; b < 8; ++b) {
-      for (std::size_t g = 0; g * kWordLanes < n; ++g) {
-        const auto w = ev_.word(dout_[static_cast<std::size_t>(8 * k + b)], g);
-        const std::size_t top = std::min(n - g * kWordLanes, kWordLanes);
-        for (std::size_t l = 0; l < top; ++l)
-          if ((w >> l) & 1U)
-            out[16 * (g * kWordLanes + l) + static_cast<std::size_t>(k)] |=
-                static_cast<std::uint8_t>(1U << b);
-      }
-    }
-}
-
-void GateIpBatchDriver::clock(std::uint64_t weight) {
-  if (ev_.stale()) ev_.settle();
-  ev_.clock();
-  cycles_ += weight;
-}
-
-void GateIpBatchDriver::reset() {
-  set_broadcast("setup", true);
-  clock();
-  set_broadcast("setup", false);
-  clock();
-}
-
-void GateIpBatchDriver::load_key(std::span<const std::uint8_t> key, bool needs_setup) {
-  const int nr = static_cast<int>(key.size()) / 4 + 6;
-  load_key(key, needs_setup ? 4 * nr : 0);
-}
-
-void GateIpBatchDriver::load_key(std::span<const std::uint8_t> key, int setup_cycles) {
-  // Multi-beat like the scalar driver; each beat replicates into every lane.
-  for (std::size_t off = 0; off < key.size(); off += 16) {
-    std::array<std::uint8_t, 16> beat{};
-    const std::size_t n = std::min<std::size_t>(16, key.size() - off);
-    for (std::size_t i = 0; i < n; ++i) beat[i] = key[off + i];
-    set_din_lanes(beat, 1);
-    set_broadcast("wr_key", true);
-    clock();
-    set_broadcast("wr_key", false);
-  }
-  for (int i = 0; i < setup_cycles; ++i) clock();
-}
-
-std::optional<GateIpBatchDriver::BatchResult> GateIpBatchDriver::process_batch(
-    std::span<const std::uint8_t> in, std::span<std::uint8_t> out, std::size_t n, bool encrypt,
-    int watchdog_cycles) {
-  if (n < 1 || n > lanes())
-    throw std::invalid_argument("GateIpBatchDriver: batch size must be 1.." +
-                                std::to_string(lanes()));
-  if (in.size() < 16 * n || out.size() < 16 * n)
-    throw std::invalid_argument("GateIpBatchDriver: need 16 bytes per lane");
-  if (has_input("encdec")) set_broadcast("encdec", encrypt);
-  set_din_lanes(in, n);
-  set_broadcast("wr_data", true);
-  clock(n);  // the load edge, n blocks wide
-  set_broadcast("wr_data", false);
-  for (int i = 1; i <= watchdog_cycles; ++i) {
-    clock(n);
-    if (data_ok()) {
-      read_dout_lanes(out, n);
-      return BatchResult{i};
-    }
-  }
-  return std::nullopt;
-}
+template class GateDriver<netlist::Evaluator>;
+template class GateDriver<netlist::BatchEvaluator>;
 
 }  // namespace aesip::core

@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/ip_synth.hpp"
 
@@ -100,19 +101,39 @@ std::array<std::uint8_t, 16> SoftwareEngine::do_process(std::span<const std::uin
 
 // --- BehavioralEngine --------------------------------------------------------
 
+template <class Ip>
+struct BehavioralEngine::CoreOf final : Core {
+  template <class... Args>
+  explicit CoreOf(hdl::Simulator& sim, Args&&... ip_args)
+      : ip(sim, std::forward<Args>(ip_args)...), bus(sim, ip) {
+    bus.reset();
+  }
+
+  std::uint64_t load_key(std::span<const std::uint8_t> key) override { return bus.load_key(key); }
+  bool key_resident(std::span<const std::uint8_t> key) const override {
+    return bus.key_resident(key);
+  }
+  std::uint64_t rekey(std::span<const std::uint8_t> key) override { return bus.rekey(key); }
+  std::array<std::uint8_t, 16> process_block(std::span<const std::uint8_t> block,
+                                             bool encrypt) override {
+    return bus.process_block(block, encrypt);
+  }
+  std::uint64_t last_latency() const noexcept override { return bus.last_latency(); }
+  core::IpCounters counters() const override { return ip.counters(); }
+  const core::BusCounters& bus_counters() const noexcept override { return bus.counters(); }
+
+  Ip ip;
+  core::GenericBusDriver<Ip> bus;
+};
+
 BehavioralEngine::BehavioralEngine(const arch::VariantSpec& spec, core::IpMode mode)
     : spec_(spec), mode_(mode) {
-  if (spec_.is_iterative()) {
-    // The MixColumn style is a gate-level distinction only; the paper's
-    // RijndaelIp is the behavioral twin of both iterative netlists.
-    ip_ = std::make_unique<core::RijndaelIp>(sim_, mode, spec.key_bits);
-    bus_ = std::make_unique<core::BusDriver>(sim_, *ip_);
-    bus_->reset();
-  } else {
-    var_ip_ = std::make_unique<arch::VariantIp>(sim_, spec, mode);
-    var_bus_ = std::make_unique<core::GenericBusDriver<arch::VariantIp>>(sim_, *var_ip_);
-    var_bus_->reset();
-  }
+  // The MixColumn style is a gate-level distinction only; the paper's
+  // RijndaelIp is the behavioral twin of both iterative netlists.
+  if (spec_.is_iterative())
+    core_ = std::make_unique<CoreOf<core::RijndaelIp>>(sim_, mode, spec.key_bits);
+  else
+    core_ = std::make_unique<CoreOf<arch::VariantIp>>(sim_, spec, mode);
 }
 
 // --- NetlistEngine -----------------------------------------------------------
@@ -163,7 +184,7 @@ bool NetlistEngine::key_resident(std::span<const std::uint8_t> key) const {
 
 void NetlistEngine::run_pass(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                              std::size_t n, bool encrypt) {
-  const auto r = drv_.process_batch(in, out, n, encrypt);
+  const auto r = drv_.process(in, out, n, encrypt);
   if (!r) throw std::runtime_error("NetlistEngine: data_ok never rose (gate-level hang)");
   last_latency_ = static_cast<std::uint64_t>(r->cycles);
   // The gate FSM walks the same phases the behavioral model counts; derive

@@ -17,11 +17,12 @@
 //                         Table 1 handshake is clocked, so counters() are
 //                         the IP's own FSM-phase totals and last_latency()
 //                         is the paper's 50 cycles.
-//   * NetlistEngine     — GateIpDriver over the ip_synth netlist through
-//                         netlist::Evaluator, same Table 1 protocol with the
-//                         same cycle counts; behavioral and netlist engines
-//                         agree on total cycles for any operation sequence
-//                         (the conformance suite asserts it).
+//   * NetlistEngine     — GateDriver<netlist::BatchEvaluator> over the
+//                         ip_synth netlist, same Table 1 protocol with the
+//                         same cycle counts, up to batch_lanes() blocks per
+//                         pass; behavioral and netlist engines agree on
+//                         total cycles for any operation sequence (the
+//                         conformance suite asserts it).
 //
 // Engines are single-threaded objects: one engine per worker, never shared.
 // NetlistEngine construction is dominated by synthesis; farms amortize it
@@ -202,7 +203,7 @@ class SoftwareEngine final : public CipherEngine {
 /// The cycle-accurate RTL model behind the engine contract: a private
 /// Simulator plus one behavioral core — the paper's RijndaelIp for
 /// iterative specs, the arch::VariantIp twin for the rest of the variant
-/// family — behind a GenericBusDriver each.
+/// family — behind its GenericBusDriver.
 class BehavioralEngine final : public CipherEngine {
  public:
   explicit BehavioralEngine(core::IpMode mode = core::IpMode::kBoth)
@@ -216,39 +217,51 @@ class BehavioralEngine final : public CipherEngine {
 
   std::uint64_t load_key(std::span<const std::uint8_t> key) override {
     check_key_length(key);
-    return var_bus_ ? var_bus_->load_key(key) : bus_->load_key(key);
+    return core_->load_key(key);
   }
   bool key_resident(std::span<const std::uint8_t> key) const override {
-    return var_bus_ ? var_bus_->key_resident(key) : bus_->key_resident(key);
+    return core_->key_resident(key);
   }
   std::uint64_t rekey(std::span<const std::uint8_t> key) override {
     check_key_length(key);
-    return var_bus_ ? var_bus_->rekey(key) : bus_->rekey(key);
+    return core_->rekey(key);
   }
 
   std::uint64_t cycles() const noexcept override { return sim_.cycle(); }
-  std::uint64_t last_latency() const noexcept override {
-    return var_bus_ ? var_bus_->last_latency() : bus_->last_latency();
-  }
-  core::IpCounters counters() const override {
-    return var_ip_ ? var_ip_->counters() : ip_->counters();
-  }
+  std::uint64_t last_latency() const noexcept override { return core_->last_latency(); }
+  core::IpCounters counters() const override { return core_->counters(); }
   hdl::Simulator* simulator() noexcept override { return &sim_; }
 
   /// Bus-master-side accounting (resets, rekey hits, stream stats) —
   /// observability beyond the engine contract.
-  const core::BusCounters& bus_counters() const noexcept {
-    return var_bus_ ? var_bus_->counters() : bus_->counters();
-  }
+  const core::BusCounters& bus_counters() const noexcept { return core_->bus_counters(); }
 
  protected:
   std::array<std::uint8_t, 16> do_process(std::span<const std::uint8_t> block,
                                           bool encrypt) override {
-    return var_bus_ ? var_bus_->process_block(block, encrypt)
-                    : bus_->process_block(block, encrypt);
+    return core_->process_block(block, encrypt);
   }
 
  private:
+  /// The one behavioral model and its bus driver, whichever model `spec_`
+  /// selects (CoreOf<Ip> in engine.cpp).
+  struct Core {
+    Core() = default;
+    Core(const Core&) = delete;
+    Core& operator=(const Core&) = delete;
+    virtual ~Core() = default;
+    virtual std::uint64_t load_key(std::span<const std::uint8_t> key) = 0;
+    virtual bool key_resident(std::span<const std::uint8_t> key) const = 0;
+    virtual std::uint64_t rekey(std::span<const std::uint8_t> key) = 0;
+    virtual std::array<std::uint8_t, 16> process_block(std::span<const std::uint8_t> block,
+                                                       bool encrypt) = 0;
+    virtual std::uint64_t last_latency() const noexcept = 0;
+    virtual core::IpCounters counters() const = 0;
+    virtual const core::BusCounters& bus_counters() const noexcept = 0;
+  };
+  template <class Ip>
+  struct CoreOf;
+
   /// The core's geometry is fixed at construction; a key of any other
   /// length is a caller bug, caught before it reaches the bus.
   void check_key_length(std::span<const std::uint8_t> key) const {
@@ -260,11 +273,7 @@ class BehavioralEngine final : public CipherEngine {
   hdl::Simulator sim_;
   arch::VariantSpec spec_;
   core::IpMode mode_;
-  // Exactly one pair is populated, chosen by spec_.is_iterative().
-  std::unique_ptr<core::RijndaelIp> ip_;
-  std::unique_ptr<core::BusDriver> bus_;
-  std::unique_ptr<arch::VariantIp> var_ip_;
-  std::unique_ptr<core::GenericBusDriver<arch::VariantIp>> var_bus_;
+  std::unique_ptr<Core> core_;  ///< declared after sim_: torn down first
 };
 
 /// Synthesize the IP netlist an engine (or a farm of them) will evaluate.
@@ -341,7 +350,7 @@ class NetlistEngine final : public CipherEngine {
   std::shared_ptr<const netlist::Netlist> nl_;
   arch::VariantSpec spec_;
   core::IpMode mode_;
-  core::GateIpBatchDriver drv_;
+  core::GateDriver<netlist::BatchEvaluator> drv_;
   std::uint64_t last_latency_ = 0;
   std::array<std::uint8_t, 32> resident_key_{};
   std::size_t resident_key_len_ = 0;

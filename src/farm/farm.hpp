@@ -188,6 +188,7 @@ class Farm {
   /// on the disable edge.
   void set_worker_enabled(int worker, bool enabled);
   bool worker_enabled(int worker) const { return sessions_.worker_enabled(worker); }
+  int workers_enabled() const { return sessions_.workers_enabled(); }
 
   /// The shared immutable gate netlist, once any netlist engine has been
   /// built (at construction for netlist farms, lazily for swaps); null on

@@ -5,24 +5,6 @@
 
 namespace aesip::fleet {
 
-// --- FleetController ---------------------------------------------------------
-
-std::vector<farm::SwapReport> FleetController::swap_all(engine::EngineKind kind) {
-  return swap_all(kind, arch::VariantSpec{});
-}
-
-std::vector<farm::SwapReport> FleetController::swap_all(engine::EngineKind kind,
-                                                        const arch::VariantSpec& variant) {
-  std::vector<std::future<farm::SwapReport>> futures;
-  futures.reserve(static_cast<std::size_t>(farm_.config().workers));
-  for (int w = 0; w < farm_.config().workers; ++w)
-    futures.push_back(farm_.swap_engine(w, kind, variant));
-  std::vector<farm::SwapReport> reports;
-  reports.reserve(futures.size());
-  for (auto& f : futures) reports.push_back(f.get());
-  return reports;
-}
-
 // --- admin status --------------------------------------------------------------
 
 void write_status_json(std::ostream& os, const farm::FarmStats& s, const std::string& node) {

@@ -4,11 +4,6 @@
 // process lifetime. This layer drops that assumption and manages the farm
 // the way an operator manages a rack of FPGA boards:
 //
-//   * FleetController — a blocking facade over Farm's future-based
-//     control plane: hot-swap a worker's engine (sw <-> behavioral <->
-//     netlist) under live traffic, quarantine and resume workers, inject
-//     faults. net::Server drives the same Farm calls asynchronously.
-//
 //   * write_status_json — the admin plane's fleet health JSON, rendered
 //     from Farm::stats(); FarmStats is the only fleet snapshot.
 //
@@ -18,9 +13,14 @@
 //     injection is *provably corrupting* — exactly the fault the farm's
 //     spot-check policy must catch and heal. Deterministic per seed.
 //
-// Thread safety: FleetController and ChaosInjector are plain call-through
-// objects over Farm's thread-safe control plane; each instance may be used
-// from one thread at a time (the server's event loop, a CLI, a test).
+// The control plane itself — hot-swapping a worker's engine (sw <->
+// behavioral <-> netlist) under live traffic, quarantining and resuming
+// workers, injecting faults — is Farm's future-based API (swap_engine,
+// set_worker_enabled, inject_fault); net::Server drives it asynchronously.
+//
+// Thread safety: ChaosInjector is a plain call-through object over Farm's
+// thread-safe control plane; each instance may be used from one thread at
+// a time (the server's event loop, a CLI, a test).
 #pragma once
 
 #include <cstdint>
@@ -38,40 +38,6 @@ namespace aesip::fleet {
 /// {worker, engine, enabled, blocks} row per worker. `node` (the cluster
 /// node id) labels the object for roll-ups; empty omits the key.
 void write_status_json(std::ostream& os, const farm::FarmStats& s, const std::string& node);
-
-/// Blocking admin facade over the farm's control plane.
-class FleetController {
- public:
-  explicit FleetController(farm::Farm& farm) : farm_(farm) {}
-
-  /// Hot-swap one worker's engine; blocks until the worker executed it.
-  farm::SwapReport swap(int worker, engine::EngineKind kind) {
-    return farm_.swap_engine(worker, kind).get();
-  }
-  /// Hot-swap one worker to a specific round-engine variant of `kind`
-  /// (e.g. netlist pipe5-xtime); see arch::VariantSpec::parse for names.
-  farm::SwapReport swap(int worker, engine::EngineKind kind, const arch::VariantSpec& variant) {
-    return farm_.swap_engine(worker, kind, variant).get();
-  }
-  /// Swap every worker: all control jobs are queued first (the swaps
-  /// overlap), then joined. The farm never drains.
-  std::vector<farm::SwapReport> swap_all(engine::EngineKind kind);
-  /// Swap every worker to one variant of `kind`, overlapped the same way.
-  std::vector<farm::SwapReport> swap_all(engine::EngineKind kind,
-                                         const arch::VariantSpec& variant);
-
-  void quarantine(int worker) { farm_.set_worker_enabled(worker, false); }
-  void resume(int worker) { farm_.set_worker_enabled(worker, true); }
-
-  /// Flip DFF `site` in `worker`'s live engine; false when the engine kind
-  /// has no gate-level state (sw/behavioral).
-  bool inject(int worker, std::size_t site) { return farm_.inject_fault(worker, site).get(); }
-
-  farm::Farm& farm() noexcept { return farm_; }
-
- private:
-  farm::Farm& farm_;
-};
 
 /// SEU-driven chaos: inject corrupting standby upsets into live engines.
 class ChaosInjector {

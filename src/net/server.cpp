@@ -604,7 +604,7 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
       {
         std::lock_guard lk(admin_mu_);
         farm_.set_worker_enabled(w, resume);
-        serving = farm_.stats().workers_enabled > 0;
+        serving = farm_.workers_enabled() > 0;
       }
       // Cluster tie-in: a node whose last worker is quarantined cannot do
       // work — leave the ring so gossip re-homes its sessions; resuming a

@@ -129,7 +129,7 @@ PowerReport estimate(const Activity& activity, const PowerParams& params, double
 
 PowerReport profile_ip(const Netlist& ip_netlist, const PowerParams& params, double clock_mhz,
                        int blocks, std::uint32_t seed) {
-  core::GateIpDriver drv(ip_netlist);
+  core::GateDriver<netlist::Evaluator> drv(ip_netlist);
   ActivityProbe probe(ip_netlist, params);
   std::mt19937 rng(seed);
 

@@ -37,7 +37,7 @@ CampaignStats run_campaign(const netlist::Netlist& ip_netlist, int runs, std::ui
     ref.encrypt_block(block, golden);
     ref.encrypt_block(check, golden_check);
 
-    core::GateIpDriver drv(ip_netlist);
+    core::GateDriver<netlist::Evaluator> drv(ip_netlist);
     drv.reset();
     drv.load_key(key, /*needs_setup=*/false);
 

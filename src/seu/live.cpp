@@ -28,7 +28,7 @@ StandbyEffect classify_standby_upset(const netlist::Netlist& ip_netlist, std::si
   std::array<std::uint8_t, 16> golden{};
   ref.encrypt_block(block, golden);
 
-  core::GateIpDriver drv(ip_netlist);
+  core::GateDriver<netlist::Evaluator> drv(ip_netlist);
   drv.reset();
   // Decrypt-capable netlists expose encdec and need the 40-cycle setup pass
   // (same rule NetlistEngine applies).
@@ -56,8 +56,7 @@ std::vector<std::size_t> find_standby_sites(const netlist::Netlist& ip_netlist,
   for (auto& b : key) b = static_cast<std::uint8_t>(rng());
   for (auto& b : block) b = static_cast<std::uint8_t>(rng());
 
-  // One scratch driver just to learn the DFF count.
-  const std::size_t n_dffs = core::GateIpDriver(ip_netlist).evaluator().dff_count();
+  const std::size_t n_dffs = ip_netlist.stats().dffs;
   std::vector<std::size_t> order(n_dffs);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::shuffle(order.begin(), order.end(), rng);

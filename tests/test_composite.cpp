@@ -161,7 +161,7 @@ TEST(CompositeIp, FullEncryptIpWorksAtGateLevel) {
   const Netlist ip =
       aesip::core::synthesize_ip(aesip::core::IpMode::kEncrypt, nlist::SboxStyle::kComposite);
   EXPECT_EQ(ip.stats().rom_bits, 0u);
-  aesip::core::GateIpDriver drv(ip);
+  aesip::core::GateDriver<nlist::Evaluator> drv(ip);
   const std::array<std::uint8_t, 16> key{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
                                          0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f};
   const std::array<std::uint8_t, 16> pt{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,

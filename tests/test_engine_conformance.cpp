@@ -224,8 +224,8 @@ TEST(EngineConformance, VariantFamilyBehavioralFullSuite) {
 }
 
 // The same contract at gate level: each variant's synthesized netlist,
-// driven through GateIpDriver, against the variant's own schedule. The
-// pipelined netlists are large, so the Monte Carlo tail is kept short —
+// driven through GateDriver<Evaluator>, against the variant's own schedule.
+// The pipelined netlists are large, so the Monte Carlo tail is kept short —
 // the vectors and the timing invariants are the contract here.
 TEST(EngineConformance, VariantFamilyNetlistVectors) {
   for (const auto& spec : arch::VariantSpec::family()) {

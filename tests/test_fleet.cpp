@@ -181,9 +181,13 @@ TEST(FleetSwap, ControllerSwapAllOverlaps) {
   cfg.workers = 3;
   cfg.engine = engine::EngineKind::kSoftware;
   farm::Farm f(cfg);
-  fleet::FleetController ctl(f);
 
-  const auto reports = ctl.swap_all(engine::EngineKind::kBehavioral);
+  // Every control job is queued before any is joined, so the swaps overlap.
+  std::vector<std::future<farm::SwapReport>> pending;
+  for (int w = 0; w < cfg.workers; ++w)
+    pending.push_back(f.swap_engine(w, engine::EngineKind::kBehavioral));
+  std::vector<farm::SwapReport> reports;
+  for (auto& p : pending) reports.push_back(p.get());
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& r : reports) EXPECT_EQ(r.to, std::string("behavioral"));
   const auto status = f.stats();

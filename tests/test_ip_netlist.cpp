@@ -20,7 +20,6 @@ namespace nlist = aesip::netlist;
 namespace txm = aesip::techmap;
 namespace aes = aesip::aes;
 using core::IpMode;
-using core::GateIpDriver;
 using nlist::Bus;
 using nlist::Netlist;
 using nlist::NetId;
@@ -81,7 +80,7 @@ TEST(IpNetlist, CycloneFlavourAddsRoughly240LesPerSbox) {
 
 TEST(IpNetlistFunctional, EncryptVariantPassesFips197) {
   const Netlist nl = core::synthesize_ip(IpMode::kEncrypt, true);
-  GateIpDriver drv(nl);
+  core::GateDriver<nlist::Evaluator> drv(nl);
   const auto key = std::array<std::uint8_t, 16>{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
                                                 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f};
   const auto pt = std::array<std::uint8_t, 16>{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
@@ -98,7 +97,7 @@ TEST(IpNetlistFunctional, EncryptVariantPassesFips197) {
 
 TEST(IpNetlistFunctional, DecryptVariantInvertsReference) {
   const Netlist nl = core::synthesize_ip(IpMode::kDecrypt, true);
-  GateIpDriver drv(nl);
+  core::GateDriver<nlist::Evaluator> drv(nl);
   const auto key = random_block(1);
   const auto pt = random_block(2);
   aes::Aes128 ref(key);
@@ -114,7 +113,7 @@ TEST(IpNetlistFunctional, DecryptVariantInvertsReference) {
 
 TEST(IpNetlistFunctional, BothVariantBothDirections) {
   const Netlist nl = core::synthesize_ip(IpMode::kBoth, true);
-  GateIpDriver drv(nl);
+  core::GateDriver<nlist::Evaluator> drv(nl);
   const auto key = random_block(3);
   const auto pt = random_block(4);
   aes::Aes128 ref(key);
@@ -135,7 +134,7 @@ TEST(IpNetlistFunctional, BothVariantBothDirections) {
 
 TEST(IpNetlistFunctional, LogicSboxFlavourAlsoWorks) {
   const Netlist nl = core::synthesize_ip(IpMode::kEncrypt, false);
-  GateIpDriver drv(nl);
+  core::GateDriver<nlist::Evaluator> drv(nl);
   const auto key = random_block(5);
   const auto pt = random_block(6);
   aes::Aes128 ref(key);
@@ -153,7 +152,7 @@ TEST(IpNetlistFunctional, MappedEncryptNetlistStillEncrypts) {
   // The strongest flow check: synthesize -> technology-map -> simulate the
   // mapped LUT/FF netlist through the full protocol.
   const auto mapped = txm::map_to_luts(core::synthesize_ip(IpMode::kEncrypt, true));
-  GateIpDriver drv(mapped.mapped);
+  core::GateDriver<nlist::Evaluator> drv(mapped.mapped);
   const auto key = random_block(7);
   const auto pt = random_block(8);
   aes::Aes128 ref(key);
@@ -169,7 +168,7 @@ TEST(IpNetlistFunctional, MappedEncryptNetlistStillEncrypts) {
 
 TEST(IpNetlistFunctional, BackToBackBlocksAtFullRate) {
   const Netlist nl = core::synthesize_ip(IpMode::kEncrypt, true);
-  GateIpDriver drv(nl);
+  core::GateDriver<nlist::Evaluator> drv(nl);
   const auto key = random_block(9);
   drv.load_key(key, false);
   aes::Aes128 ref(key);

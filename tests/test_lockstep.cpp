@@ -74,7 +74,7 @@ class LockstepHarness {
   hdl::Simulator sim_;
   aesip::netlist::Netlist netlist_;
   core::RijndaelIp rtl_;
-  core::GateIpDriver gate_;
+  core::GateDriver<aesip::netlist::Evaluator> gate_;
   std::uint64_t cycle_ = 0;
 };
 

@@ -334,72 +334,94 @@ TEST_F(NetlistBatch, UnknownEnvBackendIsRejected) {
 }
 
 // The full IP through the Table 1 protocol at every partial batch width
-// 1..63 (and 64): ciphertexts must match the software reference bit for
-// bit, per-lane latency must match the scalar gate driver, and the cycle
-// counter must advance by exactly active-lanes x scalar-cycles-per-block.
+// 1..63 (and 64), for AES-128/192/256 kBoth netlists: both driver
+// instantiations take the key (multi-beat above 128 bits) in beats + 4*Nr
+// cycles (a 40/48/56-cycle decrypt key setup), the scalar driver's lone
+// block takes 5*Nr = 50/60/70 cycles, ciphertexts match aes::Rijndael bit
+// for bit, per-lane latency matches the scalar driver, and a width-n pass
+// costs exactly n lanes = 1 blocks of cycles.
 TEST_F(NetlistBatch, FullIpPartialBatchesMatchReference) {
-  const auto nl = core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/true);
-  core::GateIpBatchDriver batch(nl);
-  core::GateIpDriver scalar(nl);
+  for (const int key_bits : {128, 192, 256}) {
+    SCOPED_TRACE("AES-" + std::to_string(key_bits));
+    const auto nl = core::synthesize_ip(core::IpMode::kBoth, nlist::SboxStyle::kRom,
+                                        nlist::MixColStyle::kXtime, key_bits);
+    core::GateDriver<BatchEvaluator> batch(nl);
+    core::GateDriver<Evaluator> scalar(nl);
 
-  const auto key = random_bytes(16, 7);
-  const aes::Aes128 ref(std::span<const std::uint8_t, 16>(key.data(), 16));
-  batch.reset();
-  batch.load_key(key, /*needs_setup=*/true);
-  scalar.reset();
-  scalar.load_key(key, /*needs_setup=*/true);
+    const auto key = random_bytes(static_cast<std::size_t>(key_bits / 8), 7);
+    const aes::Rijndael ref = aes::Rijndael::for_key(key);
+    const int nr = key_bits / 32 + 6;
+    const std::uint64_t beats = (key.size() + 15) / 16;
+    const std::uint64_t key_cycles = beats + static_cast<std::uint64_t>(4 * nr);
+    batch.reset();
+    std::uint64_t before = batch.cycles();
+    batch.load_key(key, /*needs_setup=*/true);
+    ASSERT_EQ(batch.cycles() - before, key_cycles);
+    scalar.reset();
+    before = scalar.cycles();
+    scalar.load_key(key, /*needs_setup=*/true);
+    ASSERT_EQ(scalar.cycles() - before, key_cycles);
 
-  // Scalar oracle latency from one block.
-  const auto plain0 = random_bytes(16, 8);
-  const auto r0 = scalar.process(plain0, /*encrypt=*/true);
-  ASSERT_TRUE(r0.has_value());
-  const int scalar_latency = r0->cycles;
+    // Scalar oracle latency and per-block cycles from one block.
+    const auto plain0 = random_bytes(16, 8);
+    before = scalar.cycles();
+    const auto r0 = scalar.process(plain0, /*encrypt=*/true);
+    ASSERT_TRUE(r0.has_value());
+    const int scalar_latency = r0->cycles;
+    const std::uint64_t scalar_block_cycles = scalar.cycles() - before;
+    ASSERT_EQ(scalar_latency, 5 * nr);
+    ASSERT_EQ(scalar_block_cycles, static_cast<std::uint64_t>(scalar_latency + 1));
+    std::array<std::uint8_t, 16> want0{};
+    ref.encrypt_block(plain0, want0);
+    ASSERT_EQ(r0->data, want0);
 
-  // Every width through 64 (the historical sweep), then a handful of wide
-  // widths up to the backend's full lane count.
-  std::vector<std::size_t> widths;
-  for (std::size_t n = 1; n <= std::min<std::size_t>(64, batch.lanes()); ++n)
-    widths.push_back(n);
-  if (batch.lanes() > 64)
-    for (const std::size_t n :
-         {std::size_t{65}, batch.lanes() / 2, batch.lanes() - 1, batch.lanes()})
+    // Every width through 64 (the historical sweep), then a handful of wide
+    // widths up to the backend's full lane count.
+    std::vector<std::size_t> widths;
+    for (std::size_t n = 1; n <= std::min<std::size_t>(64, batch.lanes()); ++n)
       widths.push_back(n);
-  std::uint32_t seed = 100;
-  for (const std::size_t n : widths) {
-    const auto plain = random_bytes(16 * n, seed++);
-    std::vector<std::uint8_t> got(16 * n);
-    const std::uint64_t before = batch.cycles();
-    const auto r = batch.process_batch(plain, got, n, /*encrypt=*/true);
-    ASSERT_TRUE(r.has_value()) << "n=" << n;
-    ASSERT_EQ(r->cycles, scalar_latency) << "n=" << n;
-    // Load edge + latency clocks, each weighted by the active lane count.
-    ASSERT_EQ(batch.cycles() - before,
-              static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(scalar_latency + 1))
-        << "n=" << n;
-    for (std::size_t blk = 0; blk < n; ++blk) {
-      std::array<std::uint8_t, 16> want{};
-      ref.encrypt_block(std::span<const std::uint8_t, 16>(plain.data() + 16 * blk, 16), want);
-      ASSERT_EQ(std::vector<std::uint8_t>(got.begin() + static_cast<std::ptrdiff_t>(16 * blk),
-                                          got.begin() + static_cast<std::ptrdiff_t>(16 * blk + 16)),
-                std::vector<std::uint8_t>(want.begin(), want.end()))
-          << "n=" << n << " block " << blk;
+    if (batch.lanes() > 64)
+      for (const std::size_t n :
+           {std::size_t{65}, batch.lanes() / 2, batch.lanes() - 1, batch.lanes()})
+        widths.push_back(n);
+    std::uint32_t seed = 100;
+    for (const std::size_t n : widths) {
+      const auto plain = random_bytes(16 * n, seed++);
+      std::vector<std::uint8_t> got(16 * n);
+      before = batch.cycles();
+      const auto r = batch.process(plain, got, n, /*encrypt=*/true);
+      ASSERT_TRUE(r.has_value()) << "n=" << n;
+      ASSERT_EQ(r->cycles, scalar_latency) << "n=" << n;
+      // Load edge + latency clocks, each weighted by the active lane count.
+      ASSERT_EQ(batch.cycles() - before, n * scalar_block_cycles) << "n=" << n;
+      for (std::size_t blk = 0; blk < n; ++blk) {
+        std::array<std::uint8_t, 16> want{};
+        ref.encrypt_block(std::span<const std::uint8_t>(plain.data() + 16 * blk, 16), want);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                               got.begin() + static_cast<std::ptrdiff_t>(16 * blk)))
+            << "n=" << n << " block " << blk;
+      }
     }
-  }
 
-  // Decrypt parity against the scalar gate driver on a handful of widths.
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{17}, batch.lanes()}) {
-    const auto cipher = random_bytes(16 * n, seed++);
-    std::vector<std::uint8_t> got(16 * n);
-    const auto r = batch.process_batch(cipher, got, n, /*encrypt=*/false);
-    ASSERT_TRUE(r.has_value()) << "n=" << n;
-    for (std::size_t blk = 0; blk < n; ++blk) {
-      const auto want = scalar.process(
-          std::span<const std::uint8_t>(cipher.data() + 16 * blk, 16), /*encrypt=*/false);
-      ASSERT_TRUE(want.has_value());
-      ASSERT_EQ(r->cycles, want->cycles) << "n=" << n << " block " << blk;
-      ASSERT_TRUE(std::equal(want->data.begin(), want->data.end(), got.begin() + static_cast<std::ptrdiff_t>(16 * blk)))
-          << "n=" << n << " block " << blk;
+    // Decrypt parity against the scalar gate driver on a handful of widths.
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{3}, std::size_t{17}, batch.lanes()}) {
+      const auto cipher = random_bytes(16 * n, seed++);
+      std::vector<std::uint8_t> got(16 * n);
+      const auto r = batch.process(cipher, got, n, /*encrypt=*/false);
+      ASSERT_TRUE(r.has_value()) << "n=" << n;
+      for (std::size_t blk = 0; blk < n; ++blk) {
+        const auto want = scalar.process(
+            std::span<const std::uint8_t>(cipher.data() + 16 * blk, 16), /*encrypt=*/false);
+        ASSERT_TRUE(want.has_value());
+        ASSERT_EQ(r->cycles, want->cycles) << "n=" << n << " block " << blk;
+        ASSERT_TRUE(std::equal(want->data.begin(), want->data.end(),
+                               got.begin() + static_cast<std::ptrdiff_t>(16 * blk)))
+            << "n=" << n << " block " << blk;
+        std::array<std::uint8_t, 16> plain{};
+        ref.decrypt_block(std::span<const std::uint8_t>(cipher.data() + 16 * blk, 16), plain);
+        ASSERT_EQ(want->data, plain) << "n=" << n << " block " << blk;
+      }
     }
   }
 }
@@ -465,13 +487,13 @@ TEST_F(NetlistBatch, StaleAwareClockMatchesExplicitSettleAfterEveryMutator) {
   };
   for (const auto& [name, mutate] : mutators) {
     SCOPED_TRACE(name);
-    core::GateIpBatchDriver a(chain.nl);
-    core::GateIpBatchDriver b(chain.nl);
+    core::GateDriver<BatchEvaluator> a(chain.nl);
+    core::GateDriver<BatchEvaluator> b(chain.nl);
     const std::size_t lanes = a.lanes();
     for (std::uint32_t seed = 0; seed < 2; ++seed) {  // random state in every lane
       const auto data = random_bytes(16 * lanes, 90 + seed);
-      a.set_din_lanes(data, lanes);
-      b.set_din_lanes(data, lanes);
+      a.set_din(data, lanes);
+      b.set_din(data, lanes);
       a.clock();
       b.clock();
     }
@@ -502,8 +524,8 @@ TEST_F(NetlistBatch, ScalarStaleAwareClockMatchesExplicitSettleAfterEveryMutator
   };
   for (const auto& [name, mutate] : mutators) {
     SCOPED_TRACE(name);
-    core::GateIpDriver a(chain.nl);
-    core::GateIpDriver b(chain.nl);
+    core::GateDriver<Evaluator> a(chain.nl);
+    core::GateDriver<Evaluator> b(chain.nl);
     for (std::uint32_t seed = 0; seed < 2; ++seed) {
       const auto data = random_bytes(16, 95 + seed);
       a.set_din(data);
@@ -530,7 +552,7 @@ TEST_F(NetlistBatch, ScalarStaleAwareClockMatchesExplicitSettleAfterEveryMutator
 // settle at most edges + 2 times — not twice per edge.
 TEST_F(NetlistBatch, OneSettlePerEdgePlusOnePerInputChange) {
   const auto nl = core::synthesize_ip(core::IpMode::kBoth, /*sbox_as_rom=*/true);
-  core::GateIpBatchDriver drv(nl);
+  core::GateDriver<BatchEvaluator> drv(nl);
   const BatchEvaluator& ev = drv.evaluator();
   drv.reset();
 
@@ -546,7 +568,7 @@ TEST_F(NetlistBatch, OneSettlePerEdgePlusOnePerInputChange) {
   const auto plain = random_bytes(16, 82);
   std::vector<std::uint8_t> got(16);
   settles = ev.settle_count();
-  const auto r = drv.process_batch(plain, got, 1, /*encrypt=*/true);
+  const auto r = drv.process(plain, got, 1, /*encrypt=*/true);
   settles = ev.settle_count() - settles;
   ASSERT_TRUE(r.has_value());
   edges = static_cast<std::uint64_t>(r->cycles) + 1;  // the load edge + latency
@@ -620,8 +642,8 @@ TEST_F(NetlistBatch, FarmBatchDispatchMatchesReference) {
 // evaluator and trust the classification for batch-mode engines.
 TEST_F(NetlistBatch, SeuFlipParityScalarVsLaneZero) {
   const auto nl = core::synthesize_ip(core::IpMode::kEncrypt, /*sbox_as_rom=*/true);
-  core::GateIpDriver scalar(nl);
-  core::GateIpBatchDriver batch(nl);
+  core::GateDriver<Evaluator> scalar(nl);
+  core::GateDriver<BatchEvaluator> batch(nl);
 
   const auto key = random_bytes(16, 31);
   const aes::Aes128 ref(std::span<const std::uint8_t, 16>(key.data(), 16));
@@ -653,7 +675,7 @@ TEST_F(NetlistBatch, SeuFlipParityScalarVsLaneZero) {
     const auto sres =
         scalar.process(std::span<const std::uint8_t>(plain.data(), 16), /*encrypt=*/true);
     std::vector<std::uint8_t> got(32);
-    const auto bres = batch.process_batch(plain, got, /*n=*/2, /*encrypt=*/true);
+    const auto bres = batch.process(plain, got, /*n=*/2, /*encrypt=*/true);
 
     ASSERT_EQ(sres.has_value(), bres.has_value()) << "site " << site << ": one hung";
     if (!sres) {
@@ -687,7 +709,7 @@ TEST_F(NetlistBatch, SeuFlipParityScalarVsLaneZero) {
 // the 64-lane word boundary.
 TEST_F(NetlistBatch, SeuFlipLaneIsolationAtWideWidths) {
   const auto nl = core::synthesize_ip(core::IpMode::kEncrypt, /*sbox_as_rom=*/true);
-  core::GateIpBatchDriver batch(nl);
+  core::GateDriver<BatchEvaluator> batch(nl);
   const std::size_t lanes = batch.lanes();
 
   const auto key = random_bytes(16, 51);
@@ -721,7 +743,7 @@ TEST_F(NetlistBatch, SeuFlipLaneIsolationAtWideWidths) {
       batch.evaluator().settle();
 
       std::vector<std::uint8_t> got(16 * lanes);
-      const auto r = batch.process_batch(plain, got, lanes, /*encrypt=*/true);
+      const auto r = batch.process(plain, got, lanes, /*encrypt=*/true);
       if (!r.has_value()) continue;  // flip hung the (shared) FSM; resync next trial
       for (std::size_t blk = 0; blk < lanes; ++blk) {
         if (blk == lane) {
@@ -747,7 +769,7 @@ TEST_F(NetlistBatch, SeuFlipLaneIsolationAtWideWidths) {
 // diverge; lanes whose mask bits are clear stay bit-clean — in every word.
 TEST_F(NetlistBatch, SeuFlipMaskSelectsExactLanes) {
   const auto nl = core::synthesize_ip(core::IpMode::kEncrypt, /*sbox_as_rom=*/true);
-  core::GateIpBatchDriver batch(nl);
+  core::GateDriver<BatchEvaluator> batch(nl);
   const std::size_t lanes = batch.lanes();
   const std::size_t words = lanes / 64;
 
@@ -778,7 +800,7 @@ TEST_F(NetlistBatch, SeuFlipMaskSelectsExactLanes) {
     batch.evaluator().settle();
 
     std::vector<std::uint8_t> got(16 * lanes);
-    const auto r = batch.process_batch(plain, got, lanes, /*encrypt=*/true);
+    const auto r = batch.process(plain, got, lanes, /*encrypt=*/true);
     if (!r.has_value()) continue;
     for (std::size_t blk = 0; blk < lanes; ++blk) {
       if (std::find(selected.begin(), selected.end(), blk) != selected.end()) continue;

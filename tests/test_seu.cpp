@@ -76,7 +76,7 @@ TEST(FaultInjection, UpsetInStateRegisterCorruptsTheBlock) {
   std::array<std::uint8_t, 16> golden{};
   ref.encrypt_block(pt, golden);
 
-  core::GateIpDriver drv(mapped_encrypt_ip());
+  core::GateDriver<nlist::Evaluator> drv(mapped_encrypt_ip());
   drv.load_key(key, false);
   drv.set_din(pt);
   drv.set("wr_data", true);
@@ -86,7 +86,7 @@ TEST(FaultInjection, UpsetInStateRegisterCorruptsTheBlock) {
   // Find a flip that matters: sweep until one corrupts (most will).
   bool corrupted_found = false;
   for (std::size_t dff = 0; dff < drv.evaluator().dff_count() && !corrupted_found; dff += 97) {
-    core::GateIpDriver d2(mapped_encrypt_ip());
+    core::GateDriver<nlist::Evaluator> d2(mapped_encrypt_ip());
     d2.load_key(key, false);
     d2.set_din(pt);
     d2.set("wr_data", true);
@@ -175,7 +175,7 @@ TEST(Tmr, HardenedCounterHealsSingleUpsets) {
 
 TEST(Tmr, HardenedIpStillEncrypts) {
   const auto& tmr = tmr_encrypt_ip();
-  core::GateIpDriver drv(tmr.hardened);
+  core::GateDriver<nlist::Evaluator> drv(tmr.hardened);
   const auto key = random_block(5);
   const auto pt = random_block(6);
   aes::Aes128 ref(key);

@@ -5,13 +5,15 @@
 // fleet hot-swap between variants (in-process and over the wire admin
 // plane).
 //
-// Labelled `variants farm fleet`: the farm/fleet halves are
+// Labelled `variants farm fleet netlist`: the farm/fleet halves are
 // multi-threaded, so `cmake -DAESIP_SANITIZE=thread ..; ctest -L variants`
-// is part of the TSan story alongside -L farm / -L fleet.
+// is part of the TSan story alongside -L farm / -L fleet; the gate-level
+// halves drive GateDriver<Evaluator>, so -L netlist covers them too.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <future>
 #include <random>
 #include <set>
 #include <span>
@@ -24,7 +26,6 @@
 #include "core/gate_driver.hpp"
 #include "engine/engine.hpp"
 #include "farm/farm.hpp"
-#include "fleet/fleet.hpp"
 #include "hdl/simulator.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -34,7 +35,6 @@ namespace arch = aesip::arch;
 namespace core = aesip::core;
 namespace engine = aesip::engine;
 namespace farm = aesip::farm;
-namespace fleet = aesip::fleet;
 namespace net = aesip::net;
 namespace aes = aesip::aes;
 using arch::RoundArch;
@@ -50,6 +50,18 @@ VariantSpec must_parse(std::string_view name) {
   const auto s = VariantSpec::parse(name);
   EXPECT_TRUE(s.has_value()) << name;
   return s.value();
+}
+
+/// Queue a variant swap on every worker first (the control jobs overlap),
+/// then join them all; the farm never drains.
+std::vector<farm::SwapReport> swap_all(farm::Farm& f, engine::EngineKind kind,
+                                       const VariantSpec& variant) {
+  std::vector<std::future<farm::SwapReport>> pending;
+  for (int w = 0; w < f.config().workers; ++w)
+    pending.push_back(f.swap_engine(w, kind, variant));
+  std::vector<farm::SwapReport> reports;
+  for (auto& p : pending) reports.push_back(p.get());
+  return reports;
 }
 
 }  // namespace
@@ -107,7 +119,7 @@ TEST(VariantPipeline, GateLevelStreamCyclesMatchDeclaredSchedule) {
   for (const char* name : {"pipe2-xtime", "pipe5-xtime", "pipe10-xtime"}) {
     const auto spec = must_parse(name);
     const auto nl = arch::synthesize_variant(spec, core::IpMode::kBoth);
-    core::GateIpDriver drv(nl);
+    core::GateDriver<aesip::netlist::Evaluator> drv(nl);
     drv.reset();
     drv.load_key(kKey, spec.key_setup_cycles(core::IpMode::kBoth));
 
@@ -167,7 +179,7 @@ TEST(VariantPipeline, BehavioralTwinStreamsOnSchedule) {
 TEST(VariantPipeline, WrKeyFlushesBlocksInFlight) {
   const auto spec = must_parse("pipe5-xtime");
   const auto nl = arch::synthesize_variant(spec, core::IpMode::kBoth);
-  core::GateIpDriver drv(nl);
+  core::GateDriver<aesip::netlist::Evaluator> drv(nl);
   drv.reset();
   drv.load_key(kKey, spec.key_setup_cycles(core::IpMode::kBoth));
 
@@ -293,7 +305,6 @@ TEST(VariantFleet, SwapBetweenVariantsUnderTraffic) {
   cfg.workers = 2;
   cfg.engine = engine::EngineKind::kBehavioral;
   farm::Farm f(cfg);
-  fleet::FleetController ctl(f);
 
   std::mt19937 rng(9);
   farm::Key128 key{};
@@ -320,18 +331,19 @@ TEST(VariantFleet, SwapBetweenVariantsUnderTraffic) {
   };
 
   one_round(0);
-  const auto rep = ctl.swap(0, engine::EngineKind::kBehavioral, must_parse("pipe5-xtime"));
+  const auto rep =
+      f.swap_engine(0, engine::EngineKind::kBehavioral, must_parse("pipe5-xtime")).get();
   EXPECT_EQ(rep.to, "behavioral:pipe5-xtime");
   one_round(1);
   EXPECT_EQ(f.stats().per_worker[0].engine, "behavioral:pipe5-xtime");
 
   // Fleet-wide swap to another variant; then back to the paper core, whose
   // label is the bare kind name again.
-  const auto reps = ctl.swap_all(engine::EngineKind::kBehavioral, must_parse("unroll-xtime"));
+  const auto reps = swap_all(f, engine::EngineKind::kBehavioral, must_parse("unroll-xtime"));
   ASSERT_EQ(reps.size(), 2u);
   for (const auto& r : reps) EXPECT_EQ(r.to, "behavioral:unroll-xtime");
   one_round(2);
-  ctl.swap_all(engine::EngineKind::kBehavioral, VariantSpec{});
+  swap_all(f, engine::EngineKind::kBehavioral, VariantSpec{});
   one_round(3);
   for (const auto& w : f.stats().per_worker) EXPECT_EQ(w.engine, "behavioral");
 }
