@@ -35,14 +35,10 @@
 #include <utility>
 #include <vector>
 
-#include "aes/cipher.hpp"
-#include "aes/modes.hpp"
 #include "farm/farm.hpp"
-#include "fleet/fleet.hpp"
 #include "report/json.hpp"
 
 namespace farm = aesip::farm;
-namespace fleet = aesip::fleet;
 
 namespace {
 
@@ -63,22 +59,6 @@ farm::Request random_request(std::mt19937& rng, const std::vector<farm::Key128>&
   req.payload.resize((1 + rng() % 8) * 16);
   for (auto& b : req.payload) b = static_cast<std::uint8_t>(rng());
   return req;
-}
-
-std::vector<std::uint8_t> oracle(const farm::Request& req) {
-  const aesip::aes::Rijndael ref = aesip::aes::Rijndael::for_key(req.key.view());
-  const std::span<const std::uint8_t, 16> iv(req.iv.data(), 16);
-  switch (req.mode) {
-    case farm::Mode::kEcb:
-      return req.encrypt ? aesip::aes::ecb_encrypt(ref, req.payload)
-                         : aesip::aes::ecb_decrypt(ref, req.payload);
-    case farm::Mode::kCbc:
-      return req.encrypt ? aesip::aes::cbc_encrypt(ref, iv, req.payload)
-                         : aesip::aes::cbc_decrypt(ref, iv, req.payload);
-    case farm::Mode::kCtr:
-      return aesip::aes::ctr_crypt(ref, iv, req.payload);
-  }
-  return {};
 }
 
 /// Fixed seeded workload through a behavioral farm at the given spot-check
@@ -139,7 +119,8 @@ SwapResults run_swap_point() {
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 64; ++i) {
       auto req = random_request(rng, keys);
-      expect.push_back(oracle(req));
+      expect.push_back(
+          farm::reference_crypt(req.mode, req.encrypt, req.key, req.iv, req.payload));
       pending.push_back(f.submit(std::move(req)));
     }
     const auto kind = (round & 1) ? aesip::engine::EngineKind::kBehavioral
@@ -176,8 +157,9 @@ ChaosResults run_chaos_point() {
   cfg.queue_capacity = 64;
   cfg.engine = aesip::engine::EngineKind::kNetlist;
   cfg.spot_check_fraction = 1.0;
+  cfg.chaos_seed = 0x5eed;
   farm::Farm f(cfg);
-  fleet::ChaosInjector chaos(f, /*seed=*/0x5eed);
+  std::mt19937 chaos_rng(0x5eed);  // which worker each injection hits
 
   std::mt19937 rng(7);
   std::vector<farm::Key128> keys(8);
@@ -193,12 +175,12 @@ ChaosResults run_chaos_point() {
   for (int i = 0; i < 96; ++i) {
     auto req = random_request(rng, keys);
     Pending p;
-    p.expect = oracle(req);
+    p.expect = farm::reference_crypt(req.mode, req.encrypt, req.key, req.iv, req.payload);
     p.future = f.submit(std::move(req));
     pending.push_back(std::move(p));
     if (i % 8 == 3) {
-      const auto ev = chaos.inject();
-      if (ev.injected) ++out.injections;
+      const int worker = static_cast<int>(chaos_rng() % static_cast<unsigned>(cfg.workers));
+      if (f.inject_fault(worker, f.corrupting_site()).get()) ++out.injections;
     }
   }
   for (auto& p : pending) {

@@ -127,7 +127,7 @@ class CipherEngine {
   };
   const BatchStats& batch_stats() const noexcept { return batch_stats_; }
 
-  // --- fault injection (fleet chaos hooks; see docs/fleet.md) ----------------
+  // --- fault injection (chaos hooks; see docs/farm.md#live-reconfiguration) --
   /// Number of persistent state sites (DFFs) an SEU could upset; 0 for
   /// engines with no gate-level state to flip.
   virtual std::size_t fault_sites() const noexcept { return 0; }

@@ -11,6 +11,7 @@
 #include "engine/batch_modes.hpp"
 #include "engine/engine.hpp"
 #include "report/json.hpp"
+#include "seu/live.hpp"
 
 namespace aesip::farm {
 
@@ -42,6 +43,23 @@ const char* mode_name(Mode m) noexcept {
     case Mode::kCtr: return "ctr";
   }
   return "?";
+}
+
+std::vector<std::uint8_t> reference_crypt(Mode mode, bool encrypt, const KeyBytes& key,
+                                          const Key128& iv,
+                                          std::span<const std::uint8_t> payload) {
+  const aes::Rijndael ref = aes::Rijndael::for_key(key.view());
+  const std::span<const std::uint8_t, aes::kBlock> iv_block(iv.data(), aes::kBlock);
+  switch (mode) {
+    case Mode::kEcb:
+      return encrypt ? aes::ecb_encrypt(ref, payload) : aes::ecb_decrypt(ref, payload);
+    case Mode::kCbc:
+      return encrypt ? aes::cbc_encrypt(ref, iv_block, payload)
+                     : aes::cbc_decrypt(ref, iv_block, payload);
+    case Mode::kCtr:
+      return aes::ctr_crypt(ref, iv_block, payload);
+  }
+  return {};
 }
 
 // One worker's private hardware: a CipherEngine plus the BlockCipher128
@@ -102,7 +120,8 @@ class WorkerContext {
   std::uint64_t clean_streak = 0;  ///< consecutive clean checks while boosted
 };
 
-Farm::Farm(const FarmConfig& cfg) : cfg_(cfg), sessions_(cfg.workers, cfg.max_sessions) {
+Farm::Farm(const FarmConfig& cfg)
+    : cfg_(cfg), sessions_(cfg.workers, cfg.max_sessions), chaos_rng_(cfg.chaos_seed) {
   if (cfg_.workers < 1) cfg_.workers = 1;
   if (cfg_.ctr_chunk_blocks == 0) cfg_.ctr_chunk_blocks = 1;
   worker_factories_.resize(static_cast<std::size_t>(cfg_.workers));
@@ -305,21 +324,8 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
     if (rate > 0.0 && ctx.sample(rate)) {
       spot_checks_.fetch_add(1, std::memory_order_relaxed);
       if (ctx.boosted) spot_boost_checks_.fetch_add(1, std::memory_order_relaxed);
-      const aes::Rijndael ref = aes::Rijndael::for_key(job.key.view());
-      std::vector<std::uint8_t> expected;
-      switch (job.mode) {
-        case Mode::kEcb:
-          expected = job.encrypt ? aes::ecb_encrypt(ref, job.payload)
-                                 : aes::ecb_decrypt(ref, job.payload);
-          break;
-        case Mode::kCbc:
-          expected = job.encrypt ? aes::cbc_encrypt(ref, iv, job.payload)
-                                 : aes::cbc_decrypt(ref, iv, job.payload);
-          break;
-        case Mode::kCtr:
-          expected = aes::ctr_crypt(ref, iv, job.payload);
-          break;
-      }
+      std::vector<std::uint8_t> expected =
+          reference_crypt(job.mode, job.encrypt, job.key, job.iv, job.payload);
       if (expected != out) {
         spot_mismatches_.fetch_add(1, std::memory_order_relaxed);
         replayed_jobs_.fetch_add(1, std::memory_order_relaxed);
@@ -540,6 +546,21 @@ std::future<bool> Farm::inject_fault(int worker, std::size_t site) {
   return future;
 }
 
+std::size_t Farm::corrupting_site() {
+  std::lock_guard lk(chaos_mu_);
+  if (!chaos_classified_) {
+    // The scan is the expensive step: it runs once, on the first call that
+    // finds a netlist (a swap may build one after construction).
+    const auto nl = shared_netlist();
+    if (!nl) return 0;
+    chaos_classified_ = true;
+    chaos_sites_ = seu::find_standby_sites(*nl, seu::StandbyEffect::kCorrupting,
+                                           /*count=*/4, chaos_rng_());
+  }
+  if (chaos_sites_.empty()) return 0;
+  return chaos_sites_[chaos_rng_() % chaos_sites_.size()];
+}
+
 void Farm::set_worker_enabled(int worker, bool enabled) {
   if (worker < 0 || worker >= cfg_.workers)
     throw std::out_of_range("farm: worker index out of range");
@@ -750,6 +771,39 @@ std::string FarmStats::report(double clock_ns) const {
         per_worker[i].utilization * 100.0, per_worker[i].engine.c_str(),
         per_worker[i].enabled ? "" : ", quarantined");
   return out;
+}
+
+void FarmStats::write_status_json(std::ostream& os, const std::string& node) const {
+  report::JsonWriter j(os);
+  j.begin_object();
+  if (!node.empty()) j.key("node").value(node);
+  j.key("workers").value(workers);
+  j.key("workers_enabled").value(workers_enabled);
+  j.key("batch_backend").value(batch_backend);
+  j.key("batch_lanes").value(batch_lanes);
+  j.key("swaps").value(swaps);
+  j.key("heals").value(heals);
+  j.key("quarantines").value(quarantines);
+  j.key("spot_checks").value(spot_checks);
+  j.key("spot_mismatches").value(spot_mismatches);
+  j.key("replayed_jobs").value(replayed_jobs);
+  j.key("spot_boosts").value(spot_boosts);
+  j.key("spot_boost_checks").value(spot_boost_checks);
+  j.key("workers_boosted").value(workers_boosted);
+  j.key("sessions_migrated").value(sessions_migrated);
+  j.key("swap_pause_p50_us").value(static_cast<double>(swap_pause_us.percentile(0.50)));
+  j.key("swap_pause_max_us").value(static_cast<double>(swap_pause_us.max));
+  j.key("per_worker").begin_array();
+  for (std::size_t i = 0; i < per_worker.size(); ++i) {
+    j.begin_object();
+    j.key("worker").value(static_cast<int>(i));
+    j.key("engine").value(per_worker[i].engine);
+    j.key("enabled").value(per_worker[i].enabled);
+    j.key("blocks").value(per_worker[i].blocks);
+    j.end_object();
+  }
+  j.end_array();
+  j.end_object();
 }
 
 void FarmStats::write_json(std::ostream& os, double clock_ns) const {

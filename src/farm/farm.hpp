@@ -41,6 +41,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -101,7 +103,18 @@ struct FarmConfig {
   /// episodes and boosted checks are counted in FarmStats.
   double spot_check_boost_fraction = 0.0;
   std::uint64_t spot_check_decay_jobs = 64;
+
+  /// Seed for corrupting_site(): which classified fault sites chaos
+  /// injection picks (and the classification stimulus itself).
+  std::uint32_t chaos_seed = 0x5eed;
 };
+
+/// The software reference answer for one job: `mode` x direction over the
+/// geometry-matched aes::Rijndael (CTR ignores `encrypt`). The farm's
+/// spot-check compares engine output against this.
+std::vector<std::uint8_t> reference_crypt(Mode mode, bool encrypt, const KeyBytes& key,
+                                          const Key128& iv,
+                                          std::span<const std::uint8_t> payload);
 
 struct Request {
   std::uint64_t session_id = 0;
@@ -160,7 +173,7 @@ class Farm {
   /// Forget a session binding (its key may stay resident in a slot).
   void end_session(std::uint64_t session_id) { sessions_.end_session(session_id); }
 
-  // --- fleet control plane (live reconfiguration; see docs/fleet.md) --------
+  // --- fleet control plane (see docs/farm.md#live-reconfiguration) ----------
   /// Hot-swap `worker`'s engine to `kind` without draining the farm: a
   /// control job jumps the worker's queue, the worker finishes its current
   /// job, builds the fresh engine, replays its resident key through the
@@ -182,6 +195,13 @@ class Farm {
   /// state to upset. Throws std::out_of_range for a bad worker index.
   std::future<bool> inject_fault(int worker, std::size_t site);
 
+  /// A standby-corrupting DFF site on shared_netlist(), for inject_fault:
+  /// the first call that finds a netlist classifies a few provably
+  /// corrupting sites (seu::find_standby_sites), later calls pick among
+  /// them. Deterministic per FarmConfig::chaos_seed; thread-safe. 0 when
+  /// no netlist exists (inject_fault then reports the truth).
+  std::size_t corrupting_site();
+
   /// Quarantine control: a disabled worker takes no new routes and its
   /// sessions migrate to other workers on their next request; already
   /// queued jobs still execute (zero loss). Counted in stats().quarantines
@@ -192,8 +212,8 @@ class Farm {
 
   /// The shared immutable gate netlist, once any netlist engine has been
   /// built (at construction for netlist farms, lazily for swaps); null on
-  /// farms that never ran a netlist engine. Fault-site classification
-  /// (fleet::ChaosInjector) reads the graph through this.
+  /// farms that never ran a netlist engine. corrupting_site() classifies
+  /// fault sites on this graph.
   std::shared_ptr<const netlist::Netlist> shared_netlist() const;
 
   /// Consistent point-in-time snapshot; callable while traffic is running.
@@ -322,6 +342,11 @@ class Farm {
   std::atomic<std::uint64_t> spot_boost_checks_{0};  ///< checks sampled at the boosted rate
   std::atomic<int> workers_boosted_{0};              ///< gauge: workers currently boosted
   obs::Histogram swap_pause_us_hist_;
+  /// corrupting_site() state: the classified sites and the picker.
+  std::mutex chaos_mu_;
+  std::mt19937 chaos_rng_;
+  bool chaos_classified_ = false;
+  std::vector<std::size_t> chaos_sites_;
   /// Per-worker engine label, written by the owner on swap/heal, read by
   /// stats(); values are static-duration kind names (or "custom").
   std::unique_ptr<std::atomic<const char*>[]> worker_engine_;

@@ -13,7 +13,8 @@
 //    the Table 2 single-core throughput, minus re-key overhead.
 //
 // FarmStats is a plain value snapshot — safe to copy out of a running farm
-// and serialize (report()/write_json()) without holding farm locks.
+// and serialize (report(), write_json(), write_status_json()) without
+// holding farm locks.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +63,7 @@ struct FarmStats {
   obs::HistogramSnapshot queue_wait_us;  ///< submit -> execution start, per job
 
   // fleet (live reconfiguration: hot-swap / spot-check / quarantine-heal;
-  // see docs/fleet.md — all zero on a farm that was never reconfigured)
+  // see docs/farm.md#live-reconfiguration — all zero on a farm that was never reconfigured)
   std::uint64_t swaps = 0;            ///< live engine hot-swaps completed
   std::uint64_t heals = 0;            ///< engines rebuilt after a detected fault
   std::uint64_t quarantines = 0;      ///< workers pulled from routing (spot-check or admin)
@@ -125,6 +126,12 @@ struct FarmStats {
 
   /// Machine-readable dump for BENCH_*.json trend tracking.
   void write_json(std::ostream& os, double clock_ns = 14.0) const;
+
+  /// The fleet health JSON the admin plane answers kAdminStatus with: the
+  /// reconfiguration counters, swap-pause p50/max in us, and one
+  /// {worker, engine, enabled, blocks} row per worker. `node` (the cluster
+  /// node id) labels the object for roll-ups; empty omits the key.
+  void write_status_json(std::ostream& os, const std::string& node) const;
 };
 
 }  // namespace aesip::farm

@@ -14,6 +14,10 @@ namespace aesip::net {
 
 namespace {
 
+/// Event-loop sleep granularity: the longest an idle loop waits before it
+/// rechecks its connections.
+constexpr std::chrono::milliseconds kPollInterval{1};
+
 /// Tracer name table: indices are the categories recorded per frame.
 constexpr const char* kTraceNames[] = {"enc", "dec", "ctr", "control"};
 
@@ -114,8 +118,8 @@ struct Server::Connection {
 
 Server::Server(Transport& transport, const std::string& address, ServerConfig cfg)
     : cfg_(std::move(cfg)), transport_(&transport), farm_(cfg_.farm),
-      chaos_(farm_, cfg_.chaos_seed), listener_(transport.listen(address)),
-      address_(listener_->address()), start_(std::chrono::steady_clock::now()) {
+      listener_(transport.listen(address)), address_(listener_->address()),
+      start_(std::chrono::steady_clock::now()) {
   if (cfg_.window == 0) cfg_.window = 1;
   if (cfg_.threads < 1) cfg_.threads = 1;
   if (cfg_.tracing)
@@ -282,7 +286,7 @@ bool Server::close_finished(Loop& lp, bool draining) {
 void Server::idle_wait(Loop& lp) {
   for (auto& cp : lp.conns)
     if (!cp->in_flight.empty()) {
-      cp->in_flight.front().future.wait_for(cfg_.poll_interval);
+      cp->in_flight.front().future.wait_for(kPollInterval);
       return;
     }
   if (lp.watch_dirty) {
@@ -299,9 +303,9 @@ void Server::idle_wait(Loop& lp) {
     lp.watch_dirty = false;
   }
   if (lp.sleep_on_listener)
-    listener_->wait(cfg_.poll_interval);
+    listener_->wait(kPollInterval);
   else
-    lp.readiness->wait(cfg_.poll_interval);
+    lp.readiness->wait(kPollInterval);
 }
 
 /// The membership side-channel: tick our heartbeat, dial one peer, trade
@@ -528,7 +532,7 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
   switch (f.op) {
     case Op::kAdminStatus: {
       std::ostringstream os;
-      fleet::write_status_json(os, farm_.stats(), cfg_.cluster ? cfg_.cluster->node_id : "");
+      farm_.stats().write_status_json(os, cfg_.cluster ? cfg_.cluster->node_id : "");
       const std::string s = os.str();
       send_frame(c, Op::kAdminStatusOk, f.seq, f.flags,
                  std::vector<std::uint8_t>(s.begin(), s.end()));
@@ -631,11 +635,10 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
         return true;
       }
       std::uint32_t site = get_u32(f.payload, 1);
+      if (site == 0xffffffffu) site = static_cast<std::uint32_t>(farm_.corrupting_site());
       std::shared_ptr<std::future<bool>> fut;
       {
         std::lock_guard lk(admin_mu_);
-        if (site == 0xffffffffu)
-          site = static_cast<std::uint32_t>(chaos_.corrupting_site());
         fut = std::make_shared<std::future<bool>>(farm_.inject_fault(w, site));
       }
       c.admin_pending.push_back(Connection::PendingAdmin{

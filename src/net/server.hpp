@@ -71,7 +71,6 @@
 
 #include "cluster/director.hpp"
 #include "farm/farm.hpp"
-#include "fleet/fleet.hpp"
 #include "net/poller.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
@@ -98,14 +97,11 @@ struct ServerConfig {
   std::size_t window = 32;          ///< max unanswered data frames per session
   std::size_t max_payload = kDefaultMaxPayload;
   std::chrono::milliseconds idle_timeout{30000};
-  std::chrono::milliseconds poll_interval{1};  ///< event-loop sleep granularity
   bool tracing = false;             ///< per-frame events into an obs::Tracer ring
   std::size_t trace_capacity = 8192;
   /// Serve the fleet admin opcodes (kAdminSwapEngine & co). Off, every
   /// admin frame is refused with kAdminDisabled.
   bool admin = true;
-  /// Seed for the chaos injector's site classification + worker picks.
-  std::uint32_t chaos_seed = 0x5eed;
   /// Join a multi-node cluster (gossip membership + session sharding).
   std::optional<ClusterConfig> cluster;
 };
@@ -217,8 +213,7 @@ class Server {
   ServerConfig cfg_;
   Transport* transport_;  ///< for the gossip thread's outbound dials
   farm::Farm farm_;
-  fleet::ChaosInjector chaos_;  ///< site classification for kAdminInject
-  std::mutex admin_mu_;         ///< control actions and chaos_ may come from any loop
+  std::mutex admin_mu_;  ///< control actions may come from any loop
   std::unique_ptr<Listener> listener_;
   std::string address_;
   const char* poller_ = "";  ///< what idle loops sleep on (ServerStats::poller)

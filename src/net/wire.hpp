@@ -37,8 +37,9 @@
 //               has been answered (the session-level barrier)
 //   kBye        empty -> kByeOk, then the server closes the connection
 //
-// Admin plane (fleet control; see docs/fleet.md — servers may refuse these
-// with kAdminDisabled when not operating as an admin endpoint):
+// Admin plane (fleet control; see docs/farm.md#live-reconfiguration —
+// servers may refuse these with kAdminDisabled when not operating as an
+// admin endpoint):
 //   kGossip     cluster membership exchange (docs/cluster.md): the payload
 //               is the sender's encoded Director view -> kGossipOk carries
 //               the receiver's view back. Refused with kNotClustered at a

@@ -2,12 +2,13 @@
 // idle between blocks?
 //
 // The campaign machinery (campaign.hpp) injects *during* a block's 50-cycle
-// computation. The fleet's chaos harness (fleet::ChaosInjector) instead
-// flips state in a live engine *between* jobs — the standby scenario: the
-// device sits keyed and idle, a particle hits, and the question is whether
-// the next blocks come out wrong. Many DFFs are round-state that the next
-// block's load overwrites (masked); upsets in the key register or the FSM
-// one-hot walk corrupt every following block until re-key/reset.
+// computation. The farm's chaos hook (Farm::corrupting_site, see
+// docs/farm.md#live-reconfiguration) instead flips state in a live engine
+// *between* jobs — the standby scenario: the device sits keyed and idle, a
+// particle hits, and the question is whether the next blocks come out
+// wrong. Many DFFs are round-state that the next block's load overwrites
+// (masked); upsets in the key register or the FSM one-hot walk corrupt
+// every following block until re-key/reset.
 //
 // classify_standby_upset answers the question for one site by replaying it
 // on a scratch scalar evaluator; find_standby_sites scans for sites with a

@@ -1,4 +1,4 @@
-// Fleet management (src/fleet/): live engine hot-swap, spot-check +
+// Live reconfiguration of the farm: engine hot-swap, spot-check +
 // quarantine-heal, SEU chaos injection, and the wire admin plane — all
 // exercised under real traffic. The invariant every test closes on:
 // clients never lose a frame and never see corrupted bytes, whatever the
@@ -10,6 +10,7 @@
 #include <memory>
 #include <random>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -18,13 +19,11 @@
 #include "aes/modes.hpp"
 #include "engine/engine.hpp"
 #include "farm/farm.hpp"
-#include "fleet/fleet.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
 
 namespace farm = aesip::farm;
-namespace fleet = aesip::fleet;
 namespace engine = aesip::engine;
 namespace net = aesip::net;
 namespace aes = aesip::aes;
@@ -292,7 +291,7 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   EXPECT_EQ(status.spot_boost_checks, 3u);
   EXPECT_EQ(status.workers_boosted, 1);
   std::ostringstream os;
-  fleet::write_status_json(os, status, "");
+  status.write_status_json(os, "");
   EXPECT_NE(os.str().find("\"spot_boosts\": 2"), std::string::npos) << os.str();
   EXPECT_NE(os.str().find("\"workers_boosted\": 1"), std::string::npos) << os.str();
 }
@@ -371,8 +370,8 @@ TEST(FleetChaos, NetlistInjectionDetectedHealedBitExact) {
   cfg.workers = 1;
   cfg.engine = engine::EngineKind::kNetlist;
   cfg.spot_check_fraction = 1.0;  // detection window: the very next job
+  cfg.chaos_seed = 0xc4a05;
   farm::Farm f(cfg);
-  fleet::ChaosInjector chaos(f, /*seed=*/0xc4a05);
 
   std::mt19937 rng(13);
   farm::Key128 key;
@@ -389,8 +388,8 @@ TEST(FleetChaos, NetlistInjectionDetectedHealedBitExact) {
   // every response must be bit-exact throughout, caught or not.
   bool detected = false;
   for (int attempt = 0; attempt < 12 && !detected; ++attempt) {
-    const auto ev = chaos.inject(0);
-    ASSERT_TRUE(ev.injected) << "netlist engine refused the flip";
+    ASSERT_TRUE(f.inject_fault(0, f.corrupting_site()).get())
+        << "netlist engine refused the flip";
     for (int i = 0; i < 2; ++i) {
       auto req = make_request(rng, 1, key);
       const auto expect = oracle(req);
@@ -405,7 +404,61 @@ TEST(FleetChaos, NetlistInjectionDetectedHealedBitExact) {
   EXPECT_GE(st.spot_mismatches, 1u);
   EXPECT_GE(st.heals, 1u);
   EXPECT_EQ(st.spot_mismatches, st.replayed_jobs);
-  EXPECT_FALSE(chaos.events().empty());
+}
+
+farm::FarmConfig one_netlist_worker(std::uint32_t chaos_seed) {
+  farm::FarmConfig cfg;
+  cfg.workers = 1;
+  cfg.engine = engine::EngineKind::kNetlist;
+  cfg.chaos_seed = chaos_seed;
+  return cfg;
+}
+
+std::vector<std::size_t> first_sites(farm::Farm& f, int n) {
+  std::vector<std::size_t> sites;
+  for (int i = 0; i < n; ++i) sites.push_back(f.corrupting_site());
+  return sites;
+}
+
+TEST(FleetChaos, CorruptingSitesAreDeterministicPerSeed) {
+  farm::Farm a(one_netlist_worker(0xc4a05));
+  farm::Farm b(one_netlist_worker(0xc4a05));
+  const auto sites = first_sites(a, 8);
+  EXPECT_EQ(first_sites(b, 8), sites);
+  for (const auto site : sites) EXPECT_NE(site, 0u);
+  // The seed is what fixes the picks: another seed classifies or picks
+  // differently within the same 8 draws.
+  farm::Farm c(one_netlist_worker(0x5eed));
+  EXPECT_NE(first_sites(c, 8), sites);
+}
+
+TEST(FleetChaos, NoNetlistMeansSiteZeroAndNoFlip) {
+  farm::FarmConfig cfg;
+  cfg.workers = 1;
+  cfg.engine = engine::EngineKind::kSoftware;
+  farm::Farm f(cfg);
+  EXPECT_EQ(f.corrupting_site(), 0u);
+  EXPECT_FALSE(f.inject_fault(0, 0).get());
+  // A swap to a netlist engine builds the shared netlist; sites classify
+  // from then on.
+  f.swap_engine(0, engine::EngineKind::kNetlist).get();
+  EXPECT_NE(f.corrupting_site(), 0u);
+  EXPECT_TRUE(f.inject_fault(0, f.corrupting_site()).get());
+}
+
+TEST(FleetChaos, ConcurrentCallersOnlySeeClassifiedSites) {
+  farm::Farm reference(one_netlist_worker(0x51de));
+  const auto serial = first_sites(reference, 64);
+  const std::set<std::size_t> classified(serial.begin(), serial.end());
+
+  farm::Farm f(one_netlist_worker(0x51de));
+  std::vector<std::vector<std::size_t>> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& out : seen)
+    threads.emplace_back([&f, &out] { out = first_sites(f, 16); });
+  for (auto& t : threads) t.join();
+  for (const auto& out : seen)
+    for (const auto site : out) EXPECT_TRUE(classified.count(site)) << "site " << site;
 }
 
 // --- the wire admin plane ----------------------------------------------------

@@ -32,7 +32,6 @@
 #include "core/gate_driver.hpp"
 #include "core/ip_synth.hpp"
 #include "farm/farm.hpp"
-#include "fleet/fleet.hpp"
 #include "netlist/batch_backend.hpp"
 #include "netlist/batch_eval.hpp"
 #include "netlist/eval.hpp"
@@ -43,7 +42,6 @@ namespace nlist = aesip::netlist;
 namespace aes = aesip::aes;
 namespace core = aesip::core;
 namespace farm = aesip::farm;
-namespace fleet = aesip::fleet;
 using nlist::BatchEvaluator;
 using nlist::Bus;
 using nlist::Evaluator;
@@ -637,8 +635,8 @@ TEST_F(NetlistBatch, FarmBatchDispatchMatchesReference) {
 // SEU-injection parity: flipping the same DFF in the scalar evaluator and
 // in lane 0 of the BatchEvaluator (lane mask 1) must corrupt — or mask, or
 // hang — identically, while the batch's untouched lane 1 keeps producing
-// clean ciphertext. This is what lets the fleet's chaos machinery
-// (fleet::ChaosInjector, seu/live.hpp) classify sites on the scalar
+// clean ciphertext. This is what lets the farm's chaos machinery
+// (Farm::corrupting_site, seu/live.hpp) classify sites on the scalar
 // evaluator and trust the classification for batch-mode engines.
 TEST_F(NetlistBatch, SeuFlipParityScalarVsLaneZero) {
   const auto nl = core::synthesize_ip(core::IpMode::kEncrypt, /*sbox_as_rom=*/true);
@@ -812,17 +810,17 @@ TEST_F(NetlistBatch, SeuFlipMaskSelectsExactLanes) {
   }
 }
 
-// The fleet's chaos machinery against THIS backend: ChaosInjector flips
-// every lane of a live wide engine (Farm::inject_fault -> flip_dff), the
-// farm's spot-check catches the corruption, and every response stays
-// bit-exact. Runs once per backend through the ctest matrix.
+// The farm's chaos machinery against THIS backend: a classified site
+// (Farm::corrupting_site) flips every lane of a live wide engine
+// (Farm::inject_fault -> flip_dff), the farm's spot-check catches the
+// corruption, and every response stays bit-exact. Runs once per backend through the ctest matrix.
 TEST_F(NetlistBatch, ChaosInjectionHealsOnWideEngines) {
   farm::FarmConfig cfg;
   cfg.workers = 1;
   cfg.engine = aesip::engine::EngineKind::kNetlist;
   cfg.spot_check_fraction = 1.0;
+  cfg.chaos_seed = 0x51de;
   farm::Farm f(cfg);
-  fleet::ChaosInjector chaos(f, /*seed=*/0x51de);
 
   std::mt19937 rng(71);
   farm::Key128 key{};
@@ -844,8 +842,8 @@ TEST_F(NetlistBatch, ChaosInjectionHealsOnWideEngines) {
 
   bool detected = false;
   for (int attempt = 0; attempt < 12 && !detected; ++attempt) {
-    const auto ev = chaos.inject(0);
-    ASSERT_TRUE(ev.injected) << "netlist engine refused the flip";
+    ASSERT_TRUE(f.inject_fault(0, f.corrupting_site()).get())
+        << "netlist engine refused the flip";
     for (int i = 0; i < 2; ++i) {
       auto req = fresh_request(3);
       const auto expect = aes::ecb_encrypt(ref, req.payload);

@@ -458,21 +458,7 @@ int cmd_farm(const Args& args) {
 
     Pending p;
     if (requests % 64 == 0) {  // sample for bit-exact verification
-      const aes::Rijndael ref = aes::Rijndael::for_key(req.key.view());
-      const std::span<const std::uint8_t, 16> iv(req.iv.data(), 16);
-      switch (req.mode) {
-        case farm::Mode::kEcb:
-          p.expect = req.encrypt ? aes::ecb_encrypt(ref, req.payload)
-                                 : aes::ecb_decrypt(ref, req.payload);
-          break;
-        case farm::Mode::kCbc:
-          p.expect = req.encrypt ? aes::cbc_encrypt(ref, iv, req.payload)
-                                 : aes::cbc_decrypt(ref, iv, req.payload);
-          break;
-        case farm::Mode::kCtr:
-          p.expect = aes::ctr_crypt(ref, iv, req.payload);
-          break;
-      }
+      p.expect = farm::reference_crypt(req.mode, req.encrypt, req.key, req.iv, req.payload);
     }
     submitted_blocks += (bytes + 15) / 16;
     ++requests;
@@ -859,7 +845,7 @@ int cmd_serve(const Args& args) {
     vs.key_bits = keybits;
     cfg.farm.worker_variants = {vs};
   }
-  cfg.chaos_seed =
+  cfg.farm.chaos_seed =
       static_cast<std::uint32_t>(std::stoul(arg_or(args, "chaos-seed", "0x5eed"), nullptr, 0));
   const std::string trace_path = arg_or(args, "trace", "");
   if (!trace_path.empty()) cfg.tracing = true;
@@ -993,7 +979,7 @@ int cmd_loadgen(const Args& args) {
         scfg.farm.spot_check_fraction = chaos ? 1.0 : 0.0;
         scfg.threads = std::stoi(arg_or(args, "threads", "1"));
         scfg.admin = true;
-        scfg.chaos_seed = seed + static_cast<std::uint32_t>(n);
+        scfg.farm.chaos_seed = seed + static_cast<std::uint32_t>(n);
         net::ClusterConfig cc;
         cc.node_id = "n" + std::to_string(n);
         cc.gossip_interval = std::chrono::milliseconds(25);
@@ -1035,7 +1021,7 @@ int cmd_loadgen(const Args& args) {
     else die("unknown engine '" + engine_name + "' (sw|behavioral|netlist)");
     scfg.farm.spot_check_fraction = 1.0;
     scfg.admin = true;
-    scfg.chaos_seed = seed;
+    scfg.farm.chaos_seed = seed;
     self_hosted = std::make_unique<net::Server>(*transport, "127.0.0.1:0", scfg);
     self_hosted->start();
     address = self_hosted->address();
@@ -1199,10 +1185,15 @@ int cmd_loadgen(const Args& args) {
               static_cast<unsigned long long>(total_requests.load()),
               static_cast<unsigned long long>(blocks), secs,
               secs > 0 ? static_cast<double>(blocks) / secs : 0.0, seed);
-  if (chaos)
+  if (chaos) {
     std::printf("loadgen: chaos: %llu admin operations (inject/swap/quarantine), "
-                "%d driver failures; reproduce with --chaos --seed %u\n",
-                static_cast<unsigned long long>(chaos_events), chaos_failures.load(), seed);
+                "%d driver failures\n",
+                static_cast<unsigned long long>(chaos_events), chaos_failures.load());
+    std::printf("loadgen: chaos: --seed %u fixes the traffic, keys, admin-op order and "
+                "fault sites; how many admin ops run and how many injections the "
+                "spot-check catches depend on thread timing\n",
+                seed);
+  }
   if (!node_addrs.empty())
     std::printf("loadgen: cluster: %llu redirects followed across %zu nodes\n",
                 static_cast<unsigned long long>(total_redirects.load()), node_addrs.size());
@@ -1266,7 +1257,8 @@ void fleet_usage() {
       "  resume     --worker N                   put it back\n"
       "  inject [--worker N|random] [--site N|auto]\n"
       "                                          flip a DFF in a live netlist engine\n"
-      "Targets an `aesip serve` with the admin plane on (docs/fleet.md).");
+      "Targets an `aesip serve` with the admin plane on\n"
+      "(docs/farm.md#live-reconfiguration).");
 }
 
 int cmd_fleet(int argc, char** argv) {
@@ -1422,7 +1414,8 @@ void usage() {
       "           self-hosts a spot-checked server when --connect is omitted)\n"
       "  fleet    status|swap|quarantine|resume|inject --connect HOST:PORT\n"
       "           (live fleet admin: hot-swap engines, quarantine workers,\n"
-      "           inject SEUs; `aesip fleet --help` for options; docs/fleet.md)\n"
+      "           inject SEUs; `aesip fleet --help` for options;\n"
+      "           docs/farm.md#live-reconfiguration)\n"
       "           status --nodes A,B,C polls a whole cluster into one envelope\n"
       "  selftest    (engine conformance: FIPS-197 vectors + cycle parity)\n"
       "  help | --help | -h");

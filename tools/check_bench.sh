@@ -188,12 +188,12 @@ for f in "$repo"/BENCH_*.json; do
   fi
 
   if [ "$stem" = "fleet" ]; then
-    # Two gates (docs/fleet.md): the zero-corruption chaos gate is
-    # unconditional — SEUs injected under 100% spot-check must never leak
-    # a corrupted or lost frame. The spot-check overhead gate (< 5% wall
-    # tax at 25% sampling) is wall-clock, so like the farm bench's
-    # wall-scaling gate it may be skipped with a reason on hosts with too
-    # few hardware threads.
+    # Two gates (docs/farm.md#live-reconfiguration): the zero-corruption
+    # chaos gate is unconditional — SEUs injected under 100% spot-check
+    # must never leak a corrupted or lost frame. The spot-check overhead
+    # gate (< 5% wall tax at 25% sampling) is wall-clock, so like the farm
+    # bench's wall-scaling gate it may be skipped with a reason on hosts
+    # with too few hardware threads.
     for needle in \
       '"spot_check_overhead": {' \
       '"swap": {' \

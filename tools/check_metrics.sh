@@ -39,8 +39,9 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 # The farm section must carry the fleet counters (hot-swap / spot-check /
-# quarantine-heal; docs/fleet.md) — all zero on this unreconfigured run,
-# but the keys must exist so dashboards can rely on them.
+# quarantine-heal; docs/farm.md#live-reconfiguration) — all zero on this
+# unreconfigured run, but the keys must exist so dashboards can rely on
+# them.
 fout=$("$aesip" metrics --blocks 4 --farm yes --workers 2 --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --farm yes failed" >&2
