@@ -180,7 +180,7 @@ ChaosResults run_chaos_point() {
     pending.push_back(std::move(p));
     if (i % 8 == 3) {
       const int worker = static_cast<int>(chaos_rng() % static_cast<unsigned>(cfg.workers));
-      if (f.inject_fault(worker, f.corrupting_site()).get()) ++out.injections;
+      if (f.inject_fault(worker).get().flipped) ++out.injections;
     }
   }
   for (auto& p : pending) {

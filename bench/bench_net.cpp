@@ -104,7 +104,7 @@ double run_direct(aesip::engine::EngineKind engine, int workers, int sessions,
 /// session pipelining up to the server's window.
 double run_loopback(aesip::engine::EngineKind engine, int workers, int sessions,
                     std::uint64_t requests, std::size_t blocks_per_req) {
-  net::LoopbackTransport transport(/*max_chunk=*/1 << 16, /*pipe_capacity=*/1 << 20);
+  net::LoopbackTransport transport(/*max_chunk=*/1 << 16);
   net::ServerConfig cfg;
   cfg.farm.workers = workers;
   cfg.farm.engine = engine;

@@ -533,12 +533,15 @@ std::future<SwapReport> Farm::swap_engine(int worker, engine::EngineKind kind,
   return future;
 }
 
-std::future<bool> Farm::inject_fault(int worker, std::size_t site) {
-  auto prom = std::make_shared<std::promise<bool>>();
+std::future<FaultReport> Farm::inject_fault(int worker, std::optional<std::size_t> site) {
+  auto prom = std::make_shared<std::promise<FaultReport>>();
   auto future = prom->get_future();
-  push_control(worker, [prom, site](WorkerContext& ctx, int /*index*/) {
+  push_control(worker, [this, prom, site](WorkerContext& ctx, int /*index*/) {
     try {
-      prom->set_value(ctx.engine->inject_fault(site));
+      FaultReport rep;
+      rep.site = site ? *site : corrupting_site();
+      rep.flipped = ctx.engine->inject_fault(rep.site);
+      prom->set_value(rep);
     } catch (...) {
       prom->set_exception(std::current_exception());
     }

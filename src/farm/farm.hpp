@@ -145,6 +145,12 @@ struct SwapReport {
   bool key_replayed = false;      ///< the resident key was carried over
 };
 
+/// What one Farm::inject_fault did.
+struct FaultReport {
+  std::size_t site = 0;  ///< the DFF index flipped (or tried)
+  bool flipped = false;  ///< false: the engine has no gate-level state
+};
+
 class Farm {
  public:
   explicit Farm(const FarmConfig& cfg = {});
@@ -191,9 +197,13 @@ class Farm {
 
   /// Chaos hook: flip persistent state at `site` (a DFF index) inside
   /// `worker`'s live engine, between jobs — the software model of a
-  /// standby SEU. Resolves false when the engine kind has no gate-level
+  /// standby SEU. Without a site the control job picks one with
+  /// corrupting_site() on the worker's thread, so the first call's
+  /// classification scan never blocks the caller. The report names the
+  /// site; `flipped` is false when the engine kind has no gate-level
   /// state to upset. Throws std::out_of_range for a bad worker index.
-  std::future<bool> inject_fault(int worker, std::size_t site);
+  std::future<FaultReport> inject_fault(int worker,
+                                        std::optional<std::size_t> site = std::nullopt);
 
   /// A standby-corrupting DFF site on shared_netlist(), for inject_fault:
   /// the first call that finds a netlist classifies a few provably

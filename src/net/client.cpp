@@ -365,11 +365,11 @@ void Client::pump(Stop&& stop) {
         progress = true;
       } else if (r.status == IoStatus::kWouldBlock) {
         break;
-      } else if (r.status == IoStatus::kEof) {
-        eof = true;  // decode what already arrived (a kError may explain this)
-        break;
       } else {
-        throw std::runtime_error("net: connection lost while reading");
+        // Closed or reset (kError: the server closed with our bytes unread):
+        // decode what already arrived first, a kError frame may explain it.
+        eof = true;
+        break;
       }
     }
 

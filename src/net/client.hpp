@@ -146,8 +146,8 @@ class Client {
   std::string fleet_swap(int worker, std::uint8_t kind, const std::string& variant = "");
   /// Quarantine (resume=false) or resume a worker.
   std::string fleet_quarantine(int worker, bool resume);
-  /// Inject an SEU into a live engine: `worker` -1 = server-chosen,
-  /// `site` 0xFFFFFFFF = auto-classified corrupting site.
+  /// Inject an SEU into a live engine: `worker` -1 = the server rotates
+  /// over its workers, `site` 0xFFFFFFFF = auto-classified corrupting site.
   std::string fleet_inject(int worker = -1, std::uint32_t site = 0xffffffffu);
 
  private:

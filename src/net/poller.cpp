@@ -1,110 +1,56 @@
 #include "net/poller.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
+#include "net/socket.hpp"
 
 namespace aesip::net {
 
-namespace {
-
-/// Normalize a watch list: drop the -1 placeholders, dedupe shared fds.
-std::vector<int> normalize(std::vector<int> fds) {
-  fds.erase(std::remove_if(fds.begin(), fds.end(), [](int fd) { return fd < 0; }), fds.end());
-  std::sort(fds.begin(), fds.end());
-  fds.erase(std::unique(fds.begin(), fds.end()), fds.end());
-  return fds;
+ReadinessSet::ReadinessSet() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epfd_ < 0) detail::throw_errno("epoll", "epoll_create1");
 }
 
-#ifdef __linux__
+ReadinessSet::~ReadinessSet() { ::close(epfd_); }
 
-class EpollReadinessSet final : public ReadinessSet {
- public:
-  EpollReadinessSet() : epfd_(::epoll_create1(0)) {}
-
-  ~EpollReadinessSet() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  void rebuild(const std::vector<int>& fds) override {
-    if (epfd_ < 0) return;
-    std::vector<int> want = normalize(fds);
-    if (want == watched_) return;
-    // Diff against the previous set: the kernel keeps the interest list,
-    // so only the churn costs syscalls.
-    std::size_t i = 0, j = 0;
-    while (i < watched_.size() || j < want.size()) {
-      if (j == want.size() || (i < watched_.size() && watched_[i] < want[j])) {
-        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, watched_[i], nullptr);
-        ++i;
-      } else if (i == watched_.size() || want[j] < watched_[i]) {
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = want[j];
-        ::epoll_ctl(epfd_, EPOLL_CTL_ADD, want[j], &ev);
-        ++j;
-      } else {
-        ++i;
-        ++j;
-      }
+void ReadinessSet::rebuild(std::vector<int> want) {
+  want.erase(std::remove_if(want.begin(), want.end(), [](int fd) { return fd < 0; }),
+             want.end());
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  if (want == watched_) return;
+  // Diff against the previous set: the kernel keeps the interest list,
+  // so only the churn costs syscalls.
+  std::size_t i = 0, j = 0;
+  while (i < watched_.size() || j < want.size()) {
+    if (j == want.size() || (i < watched_.size() && watched_[i] < want[j])) {
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, watched_[i], nullptr);
+      ++i;
+    } else if (i == watched_.size() || want[j] < watched_[i]) {
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = want[j];
+      ::epoll_ctl(epfd_, EPOLL_CTL_ADD, want[j], &ev);
+      ++j;
+    } else {
+      ++i;
+      ++j;
     }
-    watched_ = std::move(want);
   }
+  watched_ = std::move(want);
+}
 
-  void wait(std::chrono::milliseconds timeout) override {
-    if (epfd_ < 0 || watched_.empty()) {
-      std::this_thread::sleep_for(timeout);
-      return;
-    }
-    epoll_event events[16];
-    ::epoll_wait(epfd_, events, 16, static_cast<int>(timeout.count()));
+void ReadinessSet::wait(std::chrono::milliseconds timeout) {
+  if (watched_.empty()) {
+    std::this_thread::sleep_for(timeout);
+    return;
   }
-
-  const char* name() const noexcept override { return "epoll"; }
-
- private:
-  int epfd_;
-  std::vector<int> watched_;  ///< sorted, deduped, no negatives
-};
-
-#endif  // __linux__
-
-class PollReadinessSet final : public ReadinessSet {
- public:
-  void rebuild(const std::vector<int>& fds) override { watched_ = normalize(fds); }
-
-  void wait(std::chrono::milliseconds timeout) override {
-    if (watched_.empty()) {
-      std::this_thread::sleep_for(timeout);
-      return;
-    }
-    std::vector<pollfd> polls;
-    polls.reserve(watched_.size());
-    for (const int fd : watched_) polls.push_back({fd, POLLIN, 0});
-    ::poll(polls.data(), static_cast<nfds_t>(polls.size()),
-           static_cast<int>(timeout.count()));
-  }
-
-  const char* name() const noexcept override { return "poll"; }
-
- private:
-  std::vector<int> watched_;
-};
-
-}  // namespace
-
-std::unique_ptr<ReadinessSet> make_readiness_set() {
-#ifdef __linux__
-  auto set = std::make_unique<EpollReadinessSet>();
-  if (set) return set;
-#endif
-  return std::make_unique<PollReadinessSet>();
+  epoll_event events[16];
+  ::epoll_wait(epfd_, events, 16, static_cast<int>(timeout.count()));
 }
 
 }  // namespace aesip::net

@@ -1,11 +1,10 @@
 // ReadinessSet: bulk read-readiness waiting for the server's event loops.
 //
 // An event loop owns a set of connections; when none of them made progress
-// it must sleep until bytes arrive on *any* of them. poll(2) rebuilds the
-// kernel's interest list on every call — O(conns) per wakeup — which is a
-// busy server's hidden scaling wall. epoll keeps the interest
-// list in the kernel across calls, so a wakeup costs O(ready), not
-// O(watched). This interface wraps both behind one shape:
+// it must sleep until bytes arrive on *any* of them. epoll keeps the
+// interest list in the kernel across calls, so a wakeup costs O(ready),
+// not O(watched) — what lets one loop carry thousands of mostly-idle
+// sessions:
 //
 //   set.rebuild(fds);   // only when the conn set changed (cheap to diff)
 //   set.wait(timeout);  // sleep until any fd is readable, or timeout
@@ -13,35 +12,32 @@
 // Wakeups are advisory, exactly like Listener::wait — callers re-scan their
 // connections, they never trust the wakeup. Duplicate and negative handles
 // are tolerated: duplicates are deduped (UDP conns share one socket) and
-// negatives are skipped (loopback conns have no fd; the server sleeps a
-// loop holding one in Listener::wait instead).
-//
-// make_readiness_set() returns the epoll implementation on Linux and the
-// portable poll(2) one elsewhere; name() says which, and BENCH_net's epoll
-// section records it.
+// negatives (a closed conn, a listener wrapper hiding its fd) are skipped.
 #pragma once
 
 #include <chrono>
-#include <memory>
 #include <vector>
 
 namespace aesip::net {
 
 class ReadinessSet {
  public:
-  virtual ~ReadinessSet() = default;
+  ReadinessSet();  ///< throws std::runtime_error when epoll is unavailable
+  ~ReadinessSet();
+  ReadinessSet(const ReadinessSet&) = delete;
+  ReadinessSet& operator=(const ReadinessSet&) = delete;
 
   /// Replace the watched set. Order is irrelevant; duplicates and -1 are
   /// tolerated and ignored.
-  virtual void rebuild(const std::vector<int>& fds) = 0;
+  void rebuild(std::vector<int> fds);
 
   /// Sleep until any watched fd is readable (or has an error/EOF pending)
   /// or `timeout` elapses. With an empty watch set this is a plain sleep.
-  virtual void wait(std::chrono::milliseconds timeout) = 0;
+  void wait(std::chrono::milliseconds timeout);
 
-  virtual const char* name() const noexcept = 0;
+ private:
+  int epfd_;
+  std::vector<int> watched_;  ///< sorted, deduped, no negatives
 };
-
-std::unique_ptr<ReadinessSet> make_readiness_set();
 
 }  // namespace aesip::net

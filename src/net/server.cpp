@@ -9,6 +9,7 @@
 
 #include "aes/modes.hpp"
 #include "net/client.hpp"
+#include "net/poller.hpp"
 
 namespace aesip::net {
 
@@ -46,10 +47,8 @@ struct Server::Loop {
   std::vector<std::unique_ptr<Connection>> conns;
   std::mutex inbox_mu;
   std::vector<std::unique_ptr<Conn>> inbox;  ///< accepted, not yet adopted
-  std::unique_ptr<ReadinessSet> readiness = make_readiness_set();
-  std::vector<int> watch;  ///< native handles, rebuilt when the conn set changes
-  bool watch_dirty = true;
-  bool sleep_on_listener = false;  ///< watch misses a conn or holds nothing
+  ReadinessSet readiness;  ///< this loop's conn fds (+ the listener's on loop 0)
+  bool watch_dirty = true;  ///< the conn set changed since the last rebuild
   std::thread thread;
 
   /// Per-thread share of the global counters (relaxed; read by stats()).
@@ -129,7 +128,6 @@ Server::Server(Transport& transport, const std::string& address, ServerConfig cf
     loops_.push_back(std::make_unique<Loop>());
     loops_.back()->index = i;
   }
-  poller_ = listener_->native_handle() >= 0 ? loops_[0]->readiness->name() : "listener";
   if (cfg_.cluster) {
     cluster::DirectorConfig dc;
     dc.self_id = cfg_.cluster->node_id;
@@ -279,10 +277,8 @@ bool Server::close_finished(Loop& lp, bool draining) {
 /// Nothing moved: sleep until I/O or a completion can change that. With
 /// work in flight, waiting on the oldest future wakes on the common case
 /// (completions). Otherwise the readiness set wakes on bytes: this loop's
-/// connections' handles, plus the listener's on loop 0. A connection with
-/// no OS handle (loopback) cannot be watched there, so a loop holding one,
-/// or watching no handle at all, sleeps in Listener::wait instead, which
-/// wakes on its transport's own activity. The poll interval bounds the rest.
+/// connections' fds, plus the listener's on loop 0. The poll interval
+/// bounds the rest.
 void Server::idle_wait(Loop& lp) {
   for (auto& cp : lp.conns)
     if (!cp->in_flight.empty()) {
@@ -290,22 +286,13 @@ void Server::idle_wait(Loop& lp) {
       return;
     }
   if (lp.watch_dirty) {
-    lp.watch.clear();
-    bool handleless = false;
-    for (auto& cp : lp.conns) {
-      lp.watch.push_back(cp->conn->native_handle());
-      handleless |= lp.watch.back() < 0;
-    }
-    if (lp.index == 0) lp.watch.push_back(listener_->native_handle());
-    lp.sleep_on_listener =
-        handleless || std::none_of(lp.watch.begin(), lp.watch.end(), [](int h) { return h >= 0; });
-    lp.readiness->rebuild(lp.watch);
+    std::vector<int> watch;
+    for (auto& cp : lp.conns) watch.push_back(cp->conn->native_handle());
+    if (lp.index == 0) watch.push_back(listener_->native_handle());
+    lp.readiness.rebuild(std::move(watch));
     lp.watch_dirty = false;
   }
-  if (lp.sleep_on_listener)
-    listener_->wait(kPollInterval);
-  else
-    lp.readiness->wait(kPollInterval);
+  lp.readiness.wait(kPollInterval);
 }
 
 /// The membership side-channel: tick our heartbeat, dial one peer, trade
@@ -634,20 +621,22 @@ bool Server::handle_admin_frame(Connection& c, Frame&& f) {
                    /*fatal=*/false);
         return true;
       }
-      std::uint32_t site = get_u32(f.payload, 1);
-      if (site == 0xffffffffu) site = static_cast<std::uint32_t>(farm_.corrupting_site());
-      std::shared_ptr<std::future<bool>> fut;
+      // 0xFFFFFFFF: the worker picks a corrupting site itself, so the
+      // first call's classification scan runs there, not on this loop.
+      std::optional<std::size_t> site = get_u32(f.payload, 1);
+      if (*site == 0xffffffffu) site.reset();
+      std::shared_ptr<std::future<farm::FaultReport>> fut;
       {
         std::lock_guard lk(admin_mu_);
-        fut = std::make_shared<std::future<bool>>(farm_.inject_fault(w, site));
+        fut = std::make_shared<std::future<farm::FaultReport>>(farm_.inject_fault(w, site));
       }
       c.admin_pending.push_back(Connection::PendingAdmin{
-          f.seq, f.flags, [fut, w, site]() -> std::optional<std::string> {
+          f.seq, f.flags, [fut, w]() -> std::optional<std::string> {
             if (fut->wait_for(std::chrono::seconds(0)) != std::future_status::ready)
               return std::nullopt;
-            const bool flipped = fut->get();
-            return std::string("inject site ") + std::to_string(site) + " worker " +
-                   std::to_string(w) + (flipped ? ": flipped" : ": no gate-level state");
+            const farm::FaultReport r = fut->get();
+            return std::string("inject site ") + std::to_string(r.site) + " worker " +
+                   std::to_string(w) + (r.flipped ? ": flipped" : ": no gate-level state");
           }});
       return true;
     }
@@ -877,7 +866,6 @@ ServerStats Server::stats() const {
   s.gossip_rounds = counters_.gossip_rounds.load(std::memory_order_relaxed);
   s.cluster_nodes_alive = counters_.cluster_nodes_alive.load(std::memory_order_relaxed);
   if (director_) s.node_id = director_->self_id();
-  s.poller = poller_;
   s.request_latency_us = request_latency_us_.snapshot();
   s.session_in_flight = session_in_flight_.snapshot();
   if (tracer_) {

@@ -8,13 +8,11 @@
 // no locks on the hot path, no sharing — a connection lives its whole life
 // on one loop, the same exclusive-ownership rule the farm uses for engine
 // state. Every loop sleeps in one place: on the oldest in-flight future
-// when work is pending, else on a ReadinessSet (epoll on Linux, poll
-// elsewhere) built from its connections' native handles, plus the
-// listener's on loop 0, so an idle loop costs O(ready) per wakeup, not
-// O(watched) — that is what lets one process carry thousands of
-// mostly-idle sessions. Connections without an OS handle (loopback) cannot
-// be watched there; a loop holding one sleeps in Listener::wait, which
-// wakes on the transport's own activity. The loops meet the farm only
+// when work is pending, else on its epoll ReadinessSet, built from its
+// connections' fds plus the listener's on loop 0 (every transport is
+// socket-backed, loopback included), so an idle loop costs O(ready) per
+// wakeup, not O(watched) — that is what lets one process carry thousands
+// of mostly-idle sessions. The loops meet the farm only
 // through Farm::submit/try_submit and the std::future each returns — the
 // same decoupling the paper builds in hardware (bus I/O overlapped with
 // cipher compute) reproduced at the service layer.
@@ -39,8 +37,8 @@
 // worker queue refuses a frame (try_submit load-shed), the frame parks in
 // the connection's deferred queue and the loop stops *reading* that
 // connection until the farm catches up, which backs the pressure all the
-// way into the transport (a full TCP window / loopback pipe stalls the
-// client's writes). CTR payloads big enough to fan out take the blocking
+// way into the transport (a full socket buffer stalls the client's
+// writes). CTR payloads big enough to fan out take the blocking
 // submit path instead, so the farm's chunk scatter stays available to
 // network traffic.
 //
@@ -71,7 +69,6 @@
 
 #include "cluster/director.hpp"
 #include "farm/farm.hpp"
-#include "net/poller.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/histogram.hpp"
@@ -140,9 +137,7 @@ struct ServerStats {
   std::uint64_t gossip_rounds = 0;        ///< outbound gossip dials attempted
   std::uint64_t cluster_nodes_alive = 0;  ///< gauge; 0 when not clustered
   std::string node_id;                    ///< empty when not clustered
-  std::string poller;  ///< what idle loops sleep on: the ReadinessSet backend
-                       ///< ("epoll"/"poll"), or "listener" when the listener
-                       ///< has no OS handle (loopback: Listener::wait)
+  std::string poller = "epoll";  ///< what idle loops sleep on (ReadinessSet)
   obs::HistogramSnapshot request_latency_us;  ///< frame decoded -> response queued
   obs::HistogramSnapshot session_in_flight;   ///< window occupancy per data frame
   std::uint64_t trace_events = 0;
@@ -216,7 +211,6 @@ class Server {
   std::mutex admin_mu_;  ///< control actions may come from any loop
   std::unique_ptr<Listener> listener_;
   std::string address_;
-  const char* poller_ = "";  ///< what idle loops sleep on (ServerStats::poller)
   std::unique_ptr<cluster::Director> director_;  ///< null when not clustered
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<unsigned> next_chaos_worker_{0};  ///< rotation for kAdminInject 0xFF

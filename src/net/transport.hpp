@@ -1,25 +1,26 @@
 // Transport: the byte-stream abstraction under the wire protocol.
 //
-// Two implementations with one contract so every layer above (FrameCodec,
+// Three implementations with one contract so every layer above (FrameCodec,
 // Server, Client, loadgen, bench) is transport-blind:
 //
-//  * TcpTransport       — real non-blocking POSIX sockets over localhost or
-//                         the network; waiting is poll(2) on one fd.
+//  * TcpTransport       — non-blocking POSIX sockets over localhost or the
+//                         network.
 //  * UdpTransport       — aesip-netchan-v1 (src/net/netchan.hpp): a reliable
 //                         ordered byte stream over UDP datagrams, so the
 //                         FrameCodec above it works verbatim. Fragmentation/
 //                         reassembly, seq/ack retransmit, and a stateless
 //                         challenge handshake live below this interface.
-//  * LoopbackTransport  — a deterministic in-process byte pipe for CI and
-//                         benches: no kernel, no ports, no flakes, and a
-//                         configurable per-call chunk cap that *forces* the
+//  * LoopbackTransport  — AF_UNIX stream sockets in the Linux abstract
+//                         namespace for CI and benches: no ports, no files,
+//                         and a per-call chunk cap that *forces* the
 //                         short-read/short-write paths protocol tests need.
+//                         It shares TCP's conn and listener code (tcp.cpp).
 //
 // The contract is deliberately minimal and non-blocking: read_some /
 // write_some never block (kWouldBlock instead), and the wait_* calls are
-// how callers sleep until progress is possible. Conns and listeners with
-// an OS handle expose it (native_handle()) so a server loop can watch many
-// at once in one ReadinessSet (poller.hpp).
+// how callers sleep until progress is possible. Every conn and listener
+// is backed by a socket and exposes it (native_handle()), so a server loop
+// watches many at once in one ReadinessSet (poller.hpp).
 #pragma once
 
 #include <chrono>
@@ -57,16 +58,16 @@ class Conn {
   virtual bool wait_writable(std::chrono::milliseconds timeout) = 0;
 
   /// Half-close is not modeled: close() tears the connection down. The
-  /// peer sees kEof after draining whatever was already written.
+  /// peer drains whatever was already written, then sees kEof (kError
+  /// when this side closed with bytes still unread: a reset).
   virtual void close() = 0;
   virtual std::string peer() const = 0;
 
-  /// The OS readiness handle (socket fd) behind this connection, or -1
-  /// when there is none (loopback pipes). A ReadinessSet (poller.hpp) can
-  /// watch handles in bulk — the server's event loops do; several conns
-  /// may share one handle (UDP conns demuxed off one socket), so watchers
-  /// must dedupe.
-  virtual int native_handle() const noexcept { return -1; }
+  /// The socket fd behind this connection (-1 once closed). A ReadinessSet
+  /// (poller.hpp) watches handles in bulk — the server's event loops do;
+  /// several conns may share one handle (UDP conns demuxed off one
+  /// socket), so watchers must dedupe.
+  virtual int native_handle() const noexcept = 0;
 };
 
 class Listener {
@@ -76,17 +77,15 @@ class Listener {
   /// Non-blocking: the next pending connection, or nullptr.
   virtual std::unique_ptr<Conn> accept() = 0;
 
-  /// Sleep until a connection is pending or `timeout` elapses. A transport
-  /// whose conns have no native_handle() also wakes on activity on any
-  /// connection it accepted (readable bytes, EOF, writability after a
-  /// stall): that is how a loop holding such conns sleeps. Safe to call
-  /// from several threads at once, alongside accept(). Spurious wakeups
-  /// are allowed — callers re-scan, they don't trust the wakeup.
-  virtual void wait(std::chrono::milliseconds timeout) = 0;
+  /// Sleep until native_handle() turns readable or `timeout` elapses (a
+  /// plain sleep when there is no handle). Spurious wakeups are allowed —
+  /// callers re-scan, they don't trust the wakeup. Virtual so a wrapping
+  /// listener can instrument it.
+  virtual void wait(std::chrono::milliseconds timeout);
 
-  /// The OS handle that turns readable when a connection is pending, or
-  /// -1 when there is none (loopback). Like Conn::native_handle(), a
-  /// ReadinessSet may watch it.
+  /// The socket that turns readable when a connection is pending (-1 once
+  /// closed, or from a wrapper that does not forward it). Like
+  /// Conn::native_handle(), a ReadinessSet may watch it.
   virtual int native_handle() const noexcept { return -1; }
 
   /// The resolved address ("127.0.0.1:49152" after listening on port 0).
@@ -99,7 +98,8 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Bind and listen. TCP addresses are "host:port" (port 0 = ephemeral);
-  /// loopback addresses are arbitrary names. Throws on failure.
+  /// loopback addresses are arbitrary names. Throws on failure (a name or
+  /// port already taken included).
   virtual std::unique_ptr<Listener> listen(const std::string& address) = 0;
 
   /// Connect or throw std::runtime_error (nobody listening, refused...).
@@ -109,26 +109,25 @@ class Transport {
   virtual const char* name() const noexcept = 0;
 };
 
-/// Deterministic in-process transport. All connections live inside this
-/// object; server and client must share the instance (it is thread-safe —
-/// that is the point). `max_chunk` caps the bytes any single read_some /
-/// write_some moves, so a small value exercises partial-I/O handling;
-/// `pipe_capacity` bounds each direction's buffer (writes beyond it see
-/// kWouldBlock — backpressure, like a full socket buffer).
-struct LoopbackHub;  // the shared in-process "network" (transport.cpp)
-
+/// Local stream sockets named in the Linux abstract namespace: no port, no
+/// file, gone with the last fd. Names are private to this instance —
+/// server and client must share it (it is thread-safe: every listener and
+/// conn owns its fd) — so two transports in one process may both listen
+/// on "svc". `max_chunk` caps the bytes any single read_some / write_some
+/// moves, so a small value exercises partial-I/O handling; the kernel
+/// socket buffer gives the backpressure (writes to an unread peer end in
+/// kWouldBlock, like TCP).
 class LoopbackTransport final : public Transport {
  public:
-  explicit LoopbackTransport(std::size_t max_chunk = 1u << 16,
-                             std::size_t pipe_capacity = 1u << 20);
-  ~LoopbackTransport() override;
+  explicit LoopbackTransport(std::size_t max_chunk = 1u << 16);
 
   std::unique_ptr<Listener> listen(const std::string& address) override;
   std::unique_ptr<Conn> connect(const std::string& address) override;
   const char* name() const noexcept override { return "loopback"; }
 
  private:
-  std::shared_ptr<LoopbackHub> hub_;
+  std::size_t max_chunk_;
+  std::string prefix_;  ///< "\0aesip-lo/<pid>/<instance>/", unique per instance
 };
 
 /// Non-blocking TCP sockets; addresses are "host:port". Stateless factory

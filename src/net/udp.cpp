@@ -16,11 +16,10 @@
 // conns with unacked data linger as zombies for UdpConfig::linger so the
 // tail of a response survives one more retransmit round.
 #include "net/netchan.hpp"
+#include "net/socket.hpp"
 #include "net/transport.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -46,38 +44,7 @@ using netchan::Packet;
 using netchan::PacketType;
 using clock_t_ = std::chrono::steady_clock;
 
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error("udp: " + what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-    throw_errno("fcntl(O_NONBLOCK)");
-}
-
-sockaddr_in parse_addr(const std::string& address, bool for_listen) {
-  const auto colon = address.rfind(':');
-  if (colon == std::string::npos)
-    throw std::runtime_error("udp: address must be host:port, got '" + address + "'");
-  const std::string host = address.substr(0, colon);
-  const int port = std::stoi(address.substr(colon + 1));
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (host.empty() || host == "*") {
-    sa.sin_addr.s_addr = for_listen ? htonl(INADDR_ANY) : htonl(INADDR_LOOPBACK);
-  } else if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
-    throw std::runtime_error("udp: cannot parse host '" + host + "' (IPv4 dotted quad)");
-  }
-  return sa;
-}
-
-std::string addr_to_string(const sockaddr_in& sa) {
-  char host[INET_ADDRSTRLEN] = {};
-  ::inet_ntop(AF_INET, &sa.sin_addr, host, sizeof host);
-  return std::string(host) + ":" + std::to_string(ntohs(sa.sin_port));
-}
+using detail::addr_to_string;
 
 netchan::ChannelConfig channel_config(const UdpConfig& cfg) {
   netchan::ChannelConfig c;
@@ -383,15 +350,15 @@ class UdpListener final : public Listener {
  public:
   UdpListener(const std::string& address, UdpConfig cfg)
       : hub_(std::make_shared<UdpHub>(cfg)) {
-    const sockaddr_in want = parse_addr(address, /*for_listen=*/true);
+    const sockaddr_in want = detail::parse_addr("udp", address, /*for_listen=*/true);
     hub_->fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (hub_->fd < 0) throw_errno("socket");
+    if (hub_->fd < 0) detail::throw_errno("udp", "socket");
     if (::bind(hub_->fd, reinterpret_cast<const sockaddr*>(&want), sizeof want) < 0) {
       ::close(hub_->fd);
       hub_->fd = -1;
-      throw_errno("bind " + address);
+      detail::throw_errno("udp", "bind " + address);
     }
-    set_nonblocking(hub_->fd);
+    detail::set_nonblocking("udp", hub_->fd);
     sockaddr_in got{};
     socklen_t len = sizeof got;
     ::getsockname(hub_->fd, reinterpret_cast<sockaddr*>(&got), &len);
@@ -409,26 +376,6 @@ class UdpListener final : public Listener {
     hub_->pending_accepts.pop_front();
     peer->accepted = true;
     return std::make_unique<UdpServerConn>(hub_, std::move(peer));
-  }
-
-  void wait(std::chrono::milliseconds timeout) override {
-    std::chrono::milliseconds capped;
-    int fd;
-    {
-      std::lock_guard lk(hub_->mu);
-      const auto now = clock_t_::now();
-      hub_->pump(now);
-      if (!hub_->pending_accepts.empty()) return;
-      capped = hub_->cap_wait(timeout, now);
-      fd = hub_->fd;
-    }
-    if (fd < 0) return;
-    if (capped.count() > 0) {
-      pollfd p{fd, POLLIN, 0};
-      ::poll(&p, 1, static_cast<int>(capped.count()));
-    }
-    std::lock_guard lk(hub_->mu);
-    hub_->pump(clock_t_::now());
   }
 
   int native_handle() const noexcept override { return hub_->fd; }
@@ -583,14 +530,14 @@ class UdpTransport final : public Transport {
   }
 
   std::unique_ptr<Conn> connect(const std::string& address) override {
-    const sockaddr_in sa = parse_addr(address, /*for_listen=*/false);
+    const sockaddr_in sa = detail::parse_addr("udp", address, /*for_listen=*/false);
     const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0) throw_errno("socket");
+    if (fd < 0) detail::throw_errno("udp", "socket");
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) < 0) {
       ::close(fd);
-      throw_errno("connect " + address);
+      detail::throw_errno("udp", "connect " + address);
     }
-    set_nonblocking(fd);
+    detail::set_nonblocking("udp", fd);
 
     // The challenge handshake, synchronously with bounded retries — the
     // Client's backoff ladder wraps the whole attempt like a TCP connect.

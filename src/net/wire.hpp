@@ -52,9 +52,9 @@
 //                      swap(s) executed on the worker thread(s)
 //   kAdminQuarantine   [u8 worker][u8 action: 0=quarantine 1=resume]
 //                      -> kAdminOk immediately (routing-table change)
-//   kAdminInject       [u8 worker, 0xFF = random][u32 site, 0xFFFFFFFF =
-//                      auto-classified corrupting site] -> kAdminOk once
-//                      the flip executed
+//   kAdminInject       [u8 worker, 0xFF = rotate over the workers][u32
+//                      site, 0xFFFFFFFF = a classified corrupting site the
+//                      worker picks] -> kAdminOk once the flip executed
 //
 // Response payloads (server -> client):
 //   kHelloOk    [u32 max_payload][u32 window]  (the flow-control contract:

@@ -301,7 +301,7 @@ TEST(DocsFleet, ChaosExampleRunsAsDocumented) {
   bool detected = false;
   for (int attempt = 0; attempt < 12 && !detected; ++attempt) {
     // flip a classified standby-corrupting DFF site in worker 0
-    ASSERT_TRUE(f.inject_fault(0, f.corrupting_site()).get());
+    ASSERT_TRUE(f.inject_fault(0).get().flipped);
     auto r1 = f.process(req);             // farm catches + heals inline
     EXPECT_EQ(r1.data, want);             // ALWAYS — oracle bytes on mismatch
     detected = r1.replayed;

@@ -362,7 +362,7 @@ TEST(Farm, FailedCtrFanoutIsNotCountedAsCompleted) {
   // Release chunk 1, then fence both workers: a control job runs only
   // after the job its worker is executing has returned.
   gate.release.store(true);
-  for (int w = 0; w < cfg.workers; ++w) EXPECT_FALSE(f.inject_fault(w, 0).get());
+  for (int w = 0; w < cfg.workers; ++w) EXPECT_FALSE(f.inject_fault(w, 0).get().flipped);
 
   const auto st = f.stats();
   EXPECT_EQ(st.ctr_fanouts, 1u);

@@ -217,7 +217,7 @@ TEST(FleetSpotCheck, MismatchReplaysBitExactAndHeals) {
 
   // Corrupt the live engine; the next job's spot-check must catch it,
   // answer from the oracle (bit-exact to the client), and heal inline.
-  EXPECT_TRUE(f.inject_fault(0, 0).get());
+  EXPECT_TRUE(f.inject_fault(0, 0).get().flipped);
   req = make_request(rng, 1, key);
   expect = oracle(req);
   res = f.process(std::move(req));
@@ -255,7 +255,7 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   farm::Key128 key;
   for (auto& b : key) b = static_cast<std::uint8_t>(rng());
 
-  ASSERT_TRUE(f.inject_fault(0, 0).get());
+  ASSERT_TRUE(f.inject_fault(0, 0).get().flipped);
   auto req = make_request(rng, 1, key);
   auto res = f.process(std::move(req));
   EXPECT_TRUE(res.replayed);
@@ -278,7 +278,7 @@ TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
   EXPECT_EQ(st.workers_boosted, 0);
 
   // A second mismatch opens a second episode.
-  ASSERT_TRUE(f.inject_fault(0, 0).get());
+  ASSERT_TRUE(f.inject_fault(0, 0).get().flipped);
   auto again = make_request(rng, 1, key);
   EXPECT_TRUE(f.process(std::move(again)).replayed);
   st = f.stats();
@@ -307,7 +307,7 @@ TEST(FleetSpotCheck, HealOffStillReplaysFromOracle) {
   std::mt19937 rng(5);
   farm::Key128 key;
   for (auto& b : key) b = static_cast<std::uint8_t>(rng());
-  ASSERT_TRUE(f.inject_fault(0, 0).get());
+  ASSERT_TRUE(f.inject_fault(0, 0).get().flipped);
 
   // Without healing every job keeps mismatching — and every one is still
   // answered bit-exactly from the oracle.
@@ -388,7 +388,7 @@ TEST(FleetChaos, NetlistInjectionDetectedHealedBitExact) {
   // every response must be bit-exact throughout, caught or not.
   bool detected = false;
   for (int attempt = 0; attempt < 12 && !detected; ++attempt) {
-    ASSERT_TRUE(f.inject_fault(0, f.corrupting_site()).get())
+    ASSERT_TRUE(f.inject_fault(0).get().flipped)
         << "netlist engine refused the flip";
     for (int i = 0; i < 2; ++i) {
       auto req = make_request(rng, 1, key);
@@ -438,12 +438,14 @@ TEST(FleetChaos, NoNetlistMeansSiteZeroAndNoFlip) {
   cfg.engine = engine::EngineKind::kSoftware;
   farm::Farm f(cfg);
   EXPECT_EQ(f.corrupting_site(), 0u);
-  EXPECT_FALSE(f.inject_fault(0, 0).get());
+  EXPECT_FALSE(f.inject_fault(0, 0).get().flipped);
   // A swap to a netlist engine builds the shared netlist; sites classify
   // from then on.
   f.swap_engine(0, engine::EngineKind::kNetlist).get();
   EXPECT_NE(f.corrupting_site(), 0u);
-  EXPECT_TRUE(f.inject_fault(0, f.corrupting_site()).get());
+  const farm::FaultReport rep = f.inject_fault(0).get();
+  EXPECT_NE(rep.site, 0u);
+  EXPECT_TRUE(rep.flipped);
 }
 
 TEST(FleetChaos, ConcurrentCallersOnlySeeClassifiedSites) {
@@ -536,6 +538,45 @@ TEST(FleetAdmin, StatusJsonKeySetIsPinned) {
         "\"swap_pause_max_us\": 0", "\"worker\": 1", "\"engine\": \"sw\"", "\"enabled\": true",
         "\"blocks\": 0"})
     EXPECT_NE(status.find(needle), std::string::npos) << needle << "\n" << status;
+}
+
+// An auto-site inject (site 0xFFFFFFFF) picks its site on the target
+// worker: the first pick's classification scan must not stall the event
+// loop, so another connection on the same loop is answered while the
+// inject is still pending.
+TEST(FleetAdmin, AutoSiteInjectDoesNotStallTheLoop) {
+  using clock = std::chrono::steady_clock;
+  net::ServerConfig cfg;
+  cfg.farm.workers = 1;
+  cfg.farm.engine = engine::EngineKind::kNetlist;
+  cfg.threads = 1;
+  net::LoopbackTransport transport;
+  net::Server server(transport, "scan", cfg);
+  server.start();
+  {
+    net::Client a(transport, "scan", 1);
+    net::Client b(transport, "scan", 2);
+    const auto t0 = clock::now();
+    auto inject = std::async(std::launch::async, [&] {
+      std::string text = a.fleet_inject(-1, 0xffffffffu);
+      return std::make_pair(std::move(text), clock::now());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // A's scan is under way
+    const auto b_sent = clock::now();
+    EXPECT_NE(b.stats_json().find("workers"), std::string::npos);
+    const auto b_done = clock::now();
+    const auto [text, a_done] = inject.get();
+    EXPECT_NE(text.find(": flipped"), std::string::npos) << text;
+    EXPECT_EQ(text.find("inject site 0 "), std::string::npos) << "no classified site: " << text;
+    const auto ms = [&](clock::time_point t) {
+      return std::chrono::duration<double, std::milli>(t - t0).count();
+    };
+    EXPECT_LT(ms(b_done), ms(a_done)) << "B was answered only after A's inject";
+    EXPECT_LT(ms(b_done) - ms(b_sent), ms(a_done) / 2) << "the site scan stalled the event loop";
+    a.bye();
+    b.bye();
+  }
+  server.stop();
 }
 
 TEST(FleetAdmin, DisabledPlaneRefusesEveryAdminOp) {

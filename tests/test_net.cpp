@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <future>
 #include <random>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
+#include "net/wire.hpp"
 
 namespace net = aesip::net;
 namespace farm = aesip::farm;
@@ -129,8 +131,8 @@ TEST(NetLoopback, MultiSessionBitExactBehavioral) {
 TEST(NetLoopback, TinyChunksExerciseShortReadsAndPartialWrites) {
   // 3-byte transport chunks slice every frame across many read/write
   // calls; nothing about the protocol may depend on framing arriving
-  // whole. The tiny pipe also forces kWouldBlock on the write side.
-  net::LoopbackTransport transport(/*max_chunk=*/3, /*pipe_capacity=*/64);
+  // whole. (Write-side kWouldBlock is covered by TransportContract.)
+  net::LoopbackTransport transport(/*max_chunk=*/3);
   net::Server server(transport, "svc", server_cfg(aesip::engine::EngineKind::kSoftware, 2));
   server.start();
   EXPECT_EQ(run_verified_session(transport, "svc", 1, 16, 7), 0);
@@ -365,6 +367,184 @@ TEST(NetTcp, ClientRetriesUntilServerIsUp) {
 TEST(NetLoopback, LoopbackRefusesWithoutListener) {
   net::LoopbackTransport transport;
   EXPECT_THROW(transport.connect("nobody-home"), std::runtime_error);
+}
+
+// --- the Conn/Listener contract, driven directly on each transport ----------
+
+std::unique_ptr<net::Transport> make_transport(const std::string& kind) {
+  if (kind == "tcp") return net::make_tcp_transport();
+  if (kind == "udp") return net::make_udp_transport();
+  return std::make_unique<net::LoopbackTransport>();
+}
+
+std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t salt) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 7 + salt);
+  return v;
+}
+
+void write_all(net::Conn& c, std::span<const std::uint8_t> bytes) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!bytes.empty() && std::chrono::steady_clock::now() < deadline) {
+    const net::IoResult r = c.write_some(bytes);
+    if (r.status == net::IoStatus::kOk)
+      bytes = bytes.subspan(r.n);
+    else if (r.status == net::IoStatus::kWouldBlock)
+      c.wait_writable(std::chrono::milliseconds(10));
+    else
+      break;
+  }
+  ASSERT_TRUE(bytes.empty()) << bytes.size() << " bytes left unwritten";
+}
+
+/// Read exactly `n` bytes (fewer on EOF, error or a 5 s deadline).
+std::vector<std::uint8_t> read_n(net::Conn& c, std::size_t n) {
+  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> buf(1 << 16);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (out.size() < n && std::chrono::steady_clock::now() < deadline) {
+    const std::size_t want = std::min(buf.size(), n - out.size());
+    const net::IoResult r = c.read_some(std::span<std::uint8_t>(buf.data(), want));
+    if (r.status == net::IoStatus::kOk)
+      out.insert(out.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(r.n));
+    else if (r.status == net::IoStatus::kWouldBlock)
+      c.wait_readable(std::chrono::milliseconds(10));
+    else
+      break;
+  }
+  return out;
+}
+
+/// The first read status other than kWouldBlock (within 5 s).
+net::IoStatus next_status(net::Conn& c) {
+  std::uint8_t byte;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const net::IoResult r = c.read_some(std::span<std::uint8_t>(&byte, 1));
+    if (r.status != net::IoStatus::kWouldBlock || std::chrono::steady_clock::now() >= deadline)
+      return r.status;
+    c.wait_readable(std::chrono::milliseconds(10));
+  }
+}
+
+class TransportContract : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TransportContract, ConnAndListenerKeepTheContract) {
+  const std::string kind = GetParam();
+  auto transport = make_transport(kind);
+  auto listener = transport->listen(kind == "loopback" ? "contract" : "127.0.0.1:0");
+  EXPECT_GE(listener->native_handle(), 0);
+
+  // Connect on a helper thread while this one accepts: UDP's handshake
+  // needs the listener side pumped while connect() blocks.
+  auto connecting =
+      std::async(std::launch::async, [&] { return transport->connect(listener->address()); });
+  std::unique_ptr<net::Conn> server;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!server && std::chrono::steady_clock::now() < deadline) {
+    listener->wait(std::chrono::milliseconds(1));
+    server = listener->accept();
+  }
+  auto client = connecting.get();
+  ASSERT_NE(server, nullptr);
+  EXPECT_GE(client->native_handle(), 0);
+  EXPECT_GE(server->native_handle(), 0);
+
+  std::uint8_t byte;
+  EXPECT_EQ(client->read_some(std::span<std::uint8_t>(&byte, 1)).status,
+            net::IoStatus::kWouldBlock);
+  EXPECT_EQ(server->read_some(std::span<std::uint8_t>(&byte, 1)).status,
+            net::IoStatus::kWouldBlock);
+
+  const auto up = pattern(10000, 1), down = pattern(10000, 2);
+  write_all(*client, up);
+  EXPECT_EQ(read_n(*server, up.size()), up);
+  write_all(*server, down);
+  EXPECT_EQ(read_n(*client, down.size()), down);
+
+  if (kind != "udp") {
+    // Nobody reads: the socket buffer fills and writes see kWouldBlock;
+    // once the peer drains it, the writer is woken.
+    const std::vector<std::uint8_t> chunk(1 << 16, 0xab);
+    std::size_t queued = 0;
+    net::IoStatus last = net::IoStatus::kOk;
+    while (last == net::IoStatus::kOk && queued < (std::size_t{64} << 20)) {
+      const net::IoResult r = client->write_some(chunk);
+      last = r.status;
+      queued += r.n;
+    }
+    ASSERT_EQ(last, net::IoStatus::kWouldBlock) << queued << " bytes queued without backpressure";
+    EXPECT_EQ(read_n(*server, queued).size(), queued);
+    EXPECT_TRUE(client->wait_writable(std::chrono::milliseconds(1000)));
+  }
+
+  // Close right after a last write: the peer drains it, then sees kEof.
+  const auto tail = pattern(100, 3);
+  write_all(*client, tail);
+  client->close();
+  EXPECT_EQ(read_n(*server, tail.size()), tail);
+  EXPECT_EQ(next_status(*server), net::IoStatus::kEof);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, TransportContract,
+                         ::testing::Values("tcp", "udp", "loopback"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(NetLoopback, ResultWrittenBeforeAResetIsDelivered) {
+  // A peer that closes with request bytes still unread resets the
+  // connection (AF_UNIX, like TCP). The frames it wrote before closing
+  // must still reach the caller, not be dropped with the reset.
+  net::LoopbackTransport transport;
+  auto listener = transport.listen("reset");
+  std::promise<std::uint32_t> submitted;
+  auto submitted_seq = submitted.get_future();
+  std::thread fake_server([&] {
+    std::unique_ptr<net::Conn> conn;
+    while (!conn) {
+      listener->wait(std::chrono::milliseconds(1));
+      conn = listener->accept();
+    }
+    net::Frame f;
+    f.op = net::Op::kHelloOk;  // answer HELLO without ever reading it
+    f.session_id = 1;
+    net::put_u32(f.payload, 1024);
+    net::put_u32(f.payload, 4);
+    write_all(*conn, net::encode_frame(f));
+    if (submitted_seq.wait_for(std::chrono::seconds(5)) != std::future_status::ready) return;
+    f.op = net::Op::kResult;
+    f.seq = submitted_seq.get();
+    f.payload.assign(16, 0x5a);
+    write_all(*conn, net::encode_frame(f));
+    conn->close();  // HELLO and the data frame are still unread: a reset
+  });
+  std::vector<std::uint8_t> got;
+  try {
+    net::Client client(transport, "reset", 1);
+    const std::uint32_t seq =
+        client.submit_enc(false, farm::Key128{}, std::vector<std::uint8_t>(16));
+    submitted.set_value(seq);
+    got = client.wait(seq);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  fake_server.join();
+  EXPECT_EQ(got, std::vector<std::uint8_t>(16, 0x5a));
+}
+
+TEST(NetLoopback, NamesArePrivateToEachTransport) {
+  net::LoopbackTransport a, b;
+  auto la = a.listen("svc");
+  EXPECT_THROW(a.listen("svc"), std::runtime_error);
+  auto lb = b.listen("svc");  // another instance: its own namespace
+  EXPECT_THROW(a.connect("nobody-home"), std::runtime_error);
+  auto ca = a.connect("svc");
+  auto cb = b.connect("svc");
+  EXPECT_NE(la->accept(), nullptr);
+  EXPECT_NE(lb->accept(), nullptr);
+  EXPECT_EQ(la->accept(), nullptr) << "each listener saw exactly its own connect";
+  EXPECT_EQ(lb->accept(), nullptr);
 }
 
 }  // namespace

@@ -842,7 +842,7 @@ TEST_F(NetlistBatch, ChaosInjectionHealsOnWideEngines) {
 
   bool detected = false;
   for (int attempt = 0; attempt < 12 && !detected; ++attempt) {
-    ASSERT_TRUE(f.inject_fault(0, f.corrupting_site()).get())
+    ASSERT_TRUE(f.inject_fault(0).get().flipped)
         << "netlist engine refused the flip";
     for (int i = 0; i < 2; ++i) {
       auto req = fresh_request(3);

@@ -1255,7 +1255,7 @@ void fleet_usage() {
       "                                          omitted = the paper's core\n"
       "  quarantine --worker N                   pull a worker from routing\n"
       "  resume     --worker N                   put it back\n"
-      "  inject [--worker N|random] [--site N|auto]\n"
+      "  inject [--worker N|rotate] [--site N|auto]\n"
       "                                          flip a DFF in a live netlist engine\n"
       "Targets an `aesip serve` with the admin plane on\n"
       "(docs/farm.md#live-reconfiguration).");
@@ -1316,9 +1316,9 @@ int cmd_fleet(int argc, char** argv) {
     if (worker.empty()) die(sub + " needs --worker N");
     std::puts(client.fleet_quarantine(std::stoi(worker), sub == "resume").c_str());
   } else if (sub == "inject") {
-    const std::string worker = arg_or(args, "worker", "random");
+    const std::string worker = arg_or(args, "worker", "rotate");
     const std::string site = arg_or(args, "site", "auto");
-    const int w = worker == "random" ? -1 : std::stoi(worker);
+    const int w = worker == "rotate" ? -1 : std::stoi(worker);
     const std::uint32_t s =
         site == "auto" ? 0xffffffffu : static_cast<std::uint32_t>(std::stoul(site));
     std::puts(client.fleet_inject(w, s).c_str());

@@ -95,9 +95,9 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 # The net section (docs/cluster.md): a live multi-threaded server behind
-# `--net yes` must report what its loops sleep on (the poller: "epoll" or
-# "poll" over TCP), per-event-loop-thread counters, and the cluster
-# identity/gossip counters dashboards shard by.
+# `--net yes` must report what its loops sleep on (the poller: always
+# "epoll"), per-event-loop-thread counters, and the cluster identity/gossip
+# counters dashboards shard by.
 nout=$("$aesip" metrics --blocks 4 --farm no --net yes --net-threads 2 --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --net yes failed" >&2
@@ -107,7 +107,7 @@ fi
 for needle in \
   '"net": {' \
   '"threads": 2' \
-  '"poller": "' \
+  '"poller": "epoll"' \
   '"node_id": "metrics-n0"' \
   '"cluster_nodes_alive": 1' \
   '"redirects_sent": 0' \
