@@ -115,9 +115,6 @@ class WorkerContext {
   KeyBytes last_key{};   ///< most recent key this worker ran — swap replays it
   bool has_key = false;
   std::minstd_rand spot_rng;
-  // Adaptive spot-check state (FarmConfig::spot_check_boost_fraction).
-  bool boosted = false;
-  std::uint64_t clean_streak = 0;  ///< consecutive clean checks while boosted
 };
 
 Farm::Farm(const FarmConfig& cfg)
@@ -314,16 +311,10 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
     // software oracle (the geometry-matched aes::Rijndael). A mismatch
     // means the *engine* is corrupted (SEU, chaos injection) — the client
     // gets the oracle's bytes either way, so corruption is contained to
-    // this worker and never observable outside.  The adaptive controller:
-    // a mismatch raises this worker's sampling to the boost rate until
-    // spot_check_decay_jobs consecutive checks come back clean.
+    // this worker and never observable outside.
     bool replayed = false;
-    const double base_rate = cfg_.spot_check_fraction;
-    const double boost_rate = std::max(cfg_.spot_check_boost_fraction, base_rate);
-    const double rate = ctx.boosted ? boost_rate : base_rate;
-    if (rate > 0.0 && ctx.sample(rate)) {
+    if (cfg_.spot_check_fraction > 0.0 && ctx.sample(cfg_.spot_check_fraction)) {
       spot_checks_.fetch_add(1, std::memory_order_relaxed);
-      if (ctx.boosted) spot_boost_checks_.fetch_add(1, std::memory_order_relaxed);
       std::vector<std::uint8_t> expected =
           reference_crypt(job.mode, job.encrypt, job.key, job.iv, job.payload);
       if (expected != out) {
@@ -331,26 +322,12 @@ void Farm::execute(Job& job, WorkerContext& ctx, int index) {
         replayed_jobs_.fetch_add(1, std::memory_order_relaxed);
         out = std::move(expected);  // answer with the correct bytes
         replayed = true;
-        if (cfg_.spot_check_boost_fraction > 0.0) {
-          if (!ctx.boosted) {
-            ctx.boosted = true;
-            spot_boosts_.fetch_add(1, std::memory_order_relaxed);
-            workers_boosted_.fetch_add(1, std::memory_order_relaxed);
-          }
-          ctx.clean_streak = 0;
-        }
-        if (cfg_.heal_on_mismatch) {
-          // Quarantine-and-heal inline, between jobs, on the owning thread:
-          // no other thread can touch this engine, so the rebuild is
-          // race-free and the next queued job runs on a clean core.
-          swap_pause_us_hist_.record(heal_worker(ctx, index));
-          heals_.fetch_add(1, std::memory_order_relaxed);
-          quarantines_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (ctx.boosted && ++ctx.clean_streak >= cfg_.spot_check_decay_jobs) {
-        ctx.boosted = false;
-        ctx.clean_streak = 0;
-        workers_boosted_.fetch_sub(1, std::memory_order_relaxed);
+        // Quarantine-and-heal inline, between jobs, on the owning thread:
+        // no other thread can touch this engine, so the rebuild is
+        // race-free and the next queued job runs on a clean core.
+        swap_pause_us_hist_.record(heal_worker(ctx, index));
+        heals_.fetch_add(1, std::memory_order_relaxed);
+        quarantines_.fetch_add(1, std::memory_order_relaxed);
       }
     }
 
@@ -603,9 +580,6 @@ FarmStats Farm::stats() const {
   s.spot_checks = spot_checks_.load(std::memory_order_relaxed);
   s.spot_mismatches = spot_mismatches_.load(std::memory_order_relaxed);
   s.replayed_jobs = replayed_jobs_.load(std::memory_order_relaxed);
-  s.spot_boosts = spot_boosts_.load(std::memory_order_relaxed);
-  s.spot_boost_checks = spot_boost_checks_.load(std::memory_order_relaxed);
-  s.workers_boosted = workers_boosted_.load(std::memory_order_relaxed);
   s.sessions_migrated = sc.sessions_migrated;
   s.workers_enabled = sessions_.workers_enabled();
   s.swap_pause_us = swap_pause_us_hist_.snapshot();
@@ -685,9 +659,6 @@ void FarmStats::merge_from(const FarmStats& other) {
   spot_checks += other.spot_checks;
   spot_mismatches += other.spot_mismatches;
   replayed_jobs += other.replayed_jobs;
-  spot_boosts += other.spot_boosts;
-  spot_boost_checks += other.spot_boost_checks;
-  workers_boosted += other.workers_boosted;
   sessions_migrated += other.sessions_migrated;
   workers_enabled += other.workers_enabled;
   swap_pause_us.merge(other.swap_pause_us);
@@ -744,10 +715,6 @@ std::string FarmStats::report(double clock_ns) const {
         static_cast<unsigned long long>(spot_checks),
         static_cast<unsigned long long>(replayed_jobs),
         static_cast<unsigned long long>(sessions_migrated));
-  if (spot_boosts)
-    add("  adaptive:  %llu boost episodes, %llu boosted checks, %d workers boosted now\n",
-        static_cast<unsigned long long>(spot_boosts),
-        static_cast<unsigned long long>(spot_boost_checks), workers_boosted);
   add("  simulated: %.2f cycles/block (ideal 50), %llu setup cycles, makespan %llu cycles\n",
       cycles_per_block(), static_cast<unsigned long long>(total_setup_cycles),
       static_cast<unsigned long long>(max_worker_cycles));
@@ -776,43 +743,12 @@ std::string FarmStats::report(double clock_ns) const {
   return out;
 }
 
-void FarmStats::write_status_json(std::ostream& os, const std::string& node) const {
-  report::JsonWriter j(os);
+void FarmStats::write_json(report::JsonWriter& j, double clock_ns,
+                           const std::string& node) const {
   j.begin_object();
   if (!node.empty()) j.key("node").value(node);
   j.key("workers").value(workers);
   j.key("workers_enabled").value(workers_enabled);
-  j.key("batch_backend").value(batch_backend);
-  j.key("batch_lanes").value(batch_lanes);
-  j.key("swaps").value(swaps);
-  j.key("heals").value(heals);
-  j.key("quarantines").value(quarantines);
-  j.key("spot_checks").value(spot_checks);
-  j.key("spot_mismatches").value(spot_mismatches);
-  j.key("replayed_jobs").value(replayed_jobs);
-  j.key("spot_boosts").value(spot_boosts);
-  j.key("spot_boost_checks").value(spot_boost_checks);
-  j.key("workers_boosted").value(workers_boosted);
-  j.key("sessions_migrated").value(sessions_migrated);
-  j.key("swap_pause_p50_us").value(static_cast<double>(swap_pause_us.percentile(0.50)));
-  j.key("swap_pause_max_us").value(static_cast<double>(swap_pause_us.max));
-  j.key("per_worker").begin_array();
-  for (std::size_t i = 0; i < per_worker.size(); ++i) {
-    j.begin_object();
-    j.key("worker").value(static_cast<int>(i));
-    j.key("engine").value(per_worker[i].engine);
-    j.key("enabled").value(per_worker[i].enabled);
-    j.key("blocks").value(per_worker[i].blocks);
-    j.end_object();
-  }
-  j.end_array();
-  j.end_object();
-}
-
-void FarmStats::write_json(std::ostream& os, double clock_ns) const {
-  report::JsonWriter j(os);
-  j.begin_object();
-  j.key("workers").value(workers);
   j.key("engine").value(engine);
   j.key("batch_backend").value(batch_backend);
   j.key("batch_lanes").value(batch_lanes);
@@ -825,27 +761,24 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("key_loads").value(key_loads);
   j.key("key_hit_rate").value(key_hit_rate());
   j.key("session_evictions").value(session_evictions);
+  j.key("sessions_live").value(sessions_live);
   j.key("queue_capacity").value(queue_capacity);
   j.key("queue_high_water").value(queue_high_water);
   j.key("queue_depth");
   obs::write_json(j, queue_depth);
   j.key("queue_wait_us");
   obs::write_json(j, queue_wait_us);
-  j.key("trace_events").value(trace_events);
-  j.key("trace_dropped").value(trace_dropped);
   j.key("swaps").value(swaps);
   j.key("heals").value(heals);
   j.key("quarantines").value(quarantines);
   j.key("spot_checks").value(spot_checks);
   j.key("spot_mismatches").value(spot_mismatches);
   j.key("replayed_jobs").value(replayed_jobs);
-  j.key("spot_boosts").value(spot_boosts);
-  j.key("spot_boost_checks").value(spot_boost_checks);
-  j.key("workers_boosted").value(workers_boosted);
   j.key("sessions_migrated").value(sessions_migrated);
-  j.key("workers_enabled").value(workers_enabled);
   j.key("swap_pause_us");
   obs::write_json(j, swap_pause_us);
+  j.key("trace_events").value(trace_events);
+  j.key("trace_dropped").value(trace_dropped);
   j.key("wall_seconds").value(wall_seconds);
   j.key("blocks_per_wall_sec").value(blocks_per_wall_sec());
   j.key("total_cycles").value(total_cycles);
@@ -858,16 +791,18 @@ void FarmStats::write_json(std::ostream& os, double clock_ns) const {
   j.key("latency_us");
   obs::write_json(j, latency);
   j.key("per_worker").begin_array();
-  for (const auto& w : per_worker) {
+  for (std::size_t i = 0; i < per_worker.size(); ++i) {
+    const WorkerStats& w = per_worker[i];
     j.begin_object();
+    j.key("worker").value(i);
+    j.key("engine").value(w.engine);
+    j.key("enabled").value(w.enabled);
     j.key("requests").value(w.requests);
     j.key("blocks").value(w.blocks);
     j.key("cycles").value(w.cycles);
     j.key("setup_cycles").value(w.setup_cycles);
     j.key("busy_ns").value(w.busy_ns);
     j.key("utilization").value(w.utilization);
-    j.key("engine").value(w.engine);
-    j.key("enabled").value(w.enabled);
     j.end_object();
   }
   j.end_array();

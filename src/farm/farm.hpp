@@ -91,18 +91,10 @@ struct FarmConfig {
   /// re-runs through the software reference after the engine answered.  A
   /// mismatch means the engine is silently corrupted (an SEU, a bad swap):
   /// the job is answered with the *oracle's* bytes — clients never see the
-  /// corruption — and, when heal_on_mismatch, the worker quarantines
-  /// itself inline, rebuilds a fresh engine and replays its key state
-  /// before touching the next job. 0 disables checking (the default).
+  /// corruption — and the worker quarantines itself inline, rebuilds a
+  /// fresh engine and replays its key state before touching the next job.
+  /// 0 disables checking (the default).
   double spot_check_fraction = 0.0;
-  bool heal_on_mismatch = true;
-  /// Adaptive spot-check controller: after a mismatch the worker samples at
-  /// `spot_check_boost_fraction` (clamped up to at least the base rate)
-  /// until `spot_check_decay_jobs` consecutive clean checks pass, then
-  /// decays back to the base rate.  0 keeps the static policy.  Boost
-  /// episodes and boosted checks are counted in FarmStats.
-  double spot_check_boost_fraction = 0.0;
-  std::uint64_t spot_check_decay_jobs = 64;
 
   /// Seed for corrupting_site(): which classified fault sites chaos
   /// injection picks (and the classification stimulus itself).
@@ -348,9 +340,6 @@ class Farm {
   std::atomic<std::uint64_t> spot_checks_{0};
   std::atomic<std::uint64_t> spot_mismatches_{0};
   std::atomic<std::uint64_t> replayed_jobs_{0};
-  std::atomic<std::uint64_t> spot_boosts_{0};        ///< adaptive boost episodes entered
-  std::atomic<std::uint64_t> spot_boost_checks_{0};  ///< checks sampled at the boosted rate
-  std::atomic<int> workers_boosted_{0};              ///< gauge: workers currently boosted
   obs::Histogram swap_pause_us_hist_;
   /// corrupting_site() state: the classified sites and the picker.
   std::mutex chaos_mu_;

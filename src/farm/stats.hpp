@@ -13,16 +13,18 @@
 //    the Table 2 single-core throughput, minus re-key overhead.
 //
 // FarmStats is a plain value snapshot — safe to copy out of a running farm
-// and serialize (report(), write_json(), write_status_json()) without
-// holding farm locks.
+// and serialize (report(), write_json()) without holding farm locks.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
 #include "obs/histogram.hpp"
+
+namespace aesip::report {
+class JsonWriter;
+}
 
 namespace aesip::farm {
 
@@ -70,9 +72,6 @@ struct FarmStats {
   std::uint64_t spot_checks = 0;      ///< jobs re-run through the software oracle
   std::uint64_t spot_mismatches = 0;  ///< of which the engine's output was wrong
   std::uint64_t replayed_jobs = 0;    ///< jobs answered with the oracle's (correct) bytes
-  std::uint64_t spot_boosts = 0;      ///< adaptive boost episodes (mismatch -> boosted rate)
-  std::uint64_t spot_boost_checks = 0;///< spot checks sampled at the boosted rate
-  int workers_boosted = 0;            ///< gauge: workers currently sampling boosted
   std::uint64_t sessions_migrated = 0;///< sessions re-routed off a quarantined worker
   int workers_enabled = 0;            ///< gauge: workers currently taking routes
   obs::HistogramSnapshot swap_pause_us;  ///< worker pause per swap/heal (engine rebuild + key replay)
@@ -124,14 +123,14 @@ struct FarmStats {
   /// figures; the paper's Acex1K column is 14 ns).
   std::string report(double clock_ns = 14.0) const;
 
-  /// Machine-readable dump for BENCH_*.json trend tracking.
-  void write_json(std::ostream& os, double clock_ns = 14.0) const;
-
-  /// The fleet health JSON the admin plane answers kAdminStatus with: the
-  /// reconfiguration counters, swap-pause p50/max in us, and one
-  /// {worker, engine, enabled, blocks} row per worker. `node` (the cluster
-  /// node id) labels the object for roll-ups; empty omits the key.
-  void write_status_json(std::ostream& os, const std::string& node) const;
+  /// The one JSON rendering: every field above, the derived rates, and one
+  /// row per worker (tagged with its index). Writes a single object into
+  /// `j`, so it nests under a key or stands alone; `aesip farm --json`, the
+  /// kStats and kAdminStatus payloads and the `farm` object of `aesip
+  /// metrics` all come from here. `node` (the cluster node id) labels the
+  /// object for roll-ups; empty omits the key.
+  void write_json(report::JsonWriter& j, double clock_ns = 14.0,
+                  const std::string& node = {}) const;
 };
 
 }  // namespace aesip::farm

@@ -1,6 +1,7 @@
 #include "net/server.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <future>
 #include <optional>
@@ -10,6 +11,7 @@
 #include "aes/modes.hpp"
 #include "net/client.hpp"
 #include "net/poller.hpp"
+#include "report/json.hpp"
 
 namespace aesip::net {
 
@@ -51,7 +53,8 @@ struct Server::Loop {
   bool watch_dirty = true;  ///< the conn set changed since the last rebuild
   std::thread thread;
 
-  /// Per-thread share of the global counters (relaxed; read by stats()).
+  /// This loop's frame and byte counters — their only copy; stats() sums
+  /// the loops for the server totals (relaxed).
   struct PerThread {
     std::atomic<std::uint64_t> connections_adopted{0};
     std::atomic<std::uint64_t> frames_received{0};
@@ -349,7 +352,6 @@ bool Server::service_reads(Connection& c) {
     if (r.status == IoStatus::kOk) {
       any = true;
       c.last_activity = std::chrono::steady_clock::now();
-      counters_.bytes_in.fetch_add(r.n, std::memory_order_relaxed);
       c.owner->pt.bytes_in.fetch_add(r.n, std::memory_order_relaxed);
       c.decoder.feed(std::span<const std::uint8_t>(buf, r.n));
     } else if (r.status == IoStatus::kEof) {
@@ -404,7 +406,6 @@ bool Server::maybe_redirect(Connection& c, const Frame& f) {
 }
 
 bool Server::handle_frame(Connection& c, Frame&& f) {
-  counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
   c.owner->pt.frames_received.fetch_add(1, std::memory_order_relaxed);
   c.last_activity = std::chrono::steady_clock::now();
 
@@ -455,11 +456,18 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
       if (maybe_redirect(c, f)) return false;
       handle_data_frame(c, std::move(f));
       return true;
-    case Op::kStats: {
+    case Op::kStats:
+    case Op::kAdminStatus: {
+      // One farm snapshot JSON for both opcodes; the admin one is gated.
+      if (f.op == Op::kAdminStatus && !admin_allowed(c, f)) return true;
       std::ostringstream os;
-      farm_.stats().write_json(os, cfg_.farm.clock_ns);
+      {
+        report::JsonWriter j(os);
+        farm_.stats().write_json(j, cfg_.farm.clock_ns,
+                                 cfg_.cluster ? cfg_.cluster->node_id : "");
+      }
       const std::string s = os.str();
-      send_frame(c, Op::kStatsOk, f.seq, f.flags,
+      send_frame(c, f.op == Op::kStats ? Op::kStatsOk : Op::kAdminStatusOk, f.seq, f.flags,
                  std::vector<std::uint8_t>(s.begin(), s.end()));
       return true;
     }
@@ -479,7 +487,6 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
       send_frame(c, Op::kGossipOk, f.seq, f.flags, director_->encode_view());
       return true;
     }
-    case Op::kAdminStatus:
     case Op::kAdminSwapEngine:
     case Op::kAdminQuarantine:
     case Op::kAdminInject:
@@ -504,27 +511,26 @@ bool Server::handle_frame(Connection& c, Frame&& f) {
   }
 }
 
-/// The fleet admin plane. Quarantine and status answer inline; swap and
-/// inject execute on the target worker's own thread, so the response is
-/// parked as a PendingAdmin the reap pass polls — the loop never blocks on
-/// a worker. admin_mu_ serializes the control actions across event loops.
-bool Server::handle_admin_frame(Connection& c, Frame&& f) {
+/// The admin gate every fleet opcode passes: refused with kAdminDisabled
+/// when the plane is off, else counted as an admin frame.
+bool Server::admin_allowed(Connection& c, const Frame& f) {
   if (!cfg_.admin) {
     send_error(c, f.seq, ErrorCode::kAdminDisabled, "admin plane disabled", /*fatal=*/false);
-    return true;
+    return false;
   }
   counters_.admin_frames.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+/// The fleet control actions. Quarantine answers inline; swap and inject
+/// execute on the target worker's own thread, so the response is parked as
+/// a PendingAdmin the reap pass polls — the loop never blocks on a worker.
+/// admin_mu_ serializes the control actions across event loops.
+bool Server::handle_admin_frame(Connection& c, Frame&& f) {
+  if (!admin_allowed(c, f)) return true;
   const int workers = cfg_.farm.workers;
 
   switch (f.op) {
-    case Op::kAdminStatus: {
-      std::ostringstream os;
-      farm_.stats().write_status_json(os, cfg_.cluster ? cfg_.cluster->node_id : "");
-      const std::string s = os.str();
-      send_frame(c, Op::kAdminStatusOk, f.seq, f.flags,
-                 std::vector<std::uint8_t>(s.begin(), s.end()));
-      return true;
-    }
     case Op::kAdminSwapEngine: {
       if (f.payload.size() < 2 || f.payload[1] > 2) {
         send_error(c, f.seq, ErrorCode::kBadPayload,
@@ -748,7 +754,6 @@ bool Server::reap_completions(Connection& c) {
     try {
       farm::Result r = inf.future.get();
       send_frame(c, Op::kResult, inf.seq, inf.flags, std::move(r.data));
-      counters_.responses_sent.fetch_add(1, std::memory_order_relaxed);
       c.owner->pt.responses_sent.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception& e) {
       send_error(c, inf.seq, ErrorCode::kInternal, e.what(), /*fatal=*/false);
@@ -784,7 +789,6 @@ bool Server::reap_completions(Connection& c) {
     }
     send_frame(c, Op::kAdminOk, it->seq, it->flags,
                std::vector<std::uint8_t>(done->begin(), done->end()));
-    counters_.responses_sent.fetch_add(1, std::memory_order_relaxed);
     c.owner->pt.responses_sent.fetch_add(1, std::memory_order_relaxed);
     it = c.admin_pending.erase(it);
     any = true;
@@ -806,7 +810,6 @@ bool Server::flush_writes(Connection& c) {
         std::span<const std::uint8_t>(c.outbuf.data() + c.out_off, c.outbuf.size() - c.out_off));
     if (r.status == IoStatus::kOk) {
       c.out_off += r.n;
-      counters_.bytes_out.fetch_add(r.n, std::memory_order_relaxed);
       c.owner->pt.bytes_out.fetch_add(r.n, std::memory_order_relaxed);
       any = true;
     } else if (r.status == IoStatus::kWouldBlock) {
@@ -848,9 +851,7 @@ ServerStats Server::stats() const {
   s.connections_closed = counters_.connections_closed.load(std::memory_order_relaxed);
   s.connections_active = counters_.connections_active.load(std::memory_order_relaxed);
   s.sessions_active = counters_.sessions_active.load(std::memory_order_relaxed);
-  s.frames_received = counters_.frames_received.load(std::memory_order_relaxed);
   s.data_frames = counters_.data_frames.load(std::memory_order_relaxed);
-  s.responses_sent = counters_.responses_sent.load(std::memory_order_relaxed);
   s.errors_sent = counters_.errors_sent.load(std::memory_order_relaxed);
   s.protocol_errors = counters_.protocol_errors.load(std::memory_order_relaxed);
   s.window_violations = counters_.window_violations.load(std::memory_order_relaxed);
@@ -858,8 +859,6 @@ ServerStats Server::stats() const {
   s.idle_closes = counters_.idle_closes.load(std::memory_order_relaxed);
   s.drains = counters_.drains.load(std::memory_order_relaxed);
   s.admin_frames = counters_.admin_frames.load(std::memory_order_relaxed);
-  s.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
   s.in_flight = counters_.in_flight.load(std::memory_order_relaxed);
   s.redirects_sent = counters_.redirects_sent.load(std::memory_order_relaxed);
   s.gossip_frames = counters_.gossip_frames.load(std::memory_order_relaxed);
@@ -880,9 +879,99 @@ ServerStats Server::stats() const {
     t.responses_sent = lp->pt.responses_sent.load(std::memory_order_relaxed);
     t.bytes_in = lp->pt.bytes_in.load(std::memory_order_relaxed);
     t.bytes_out = lp->pt.bytes_out.load(std::memory_order_relaxed);
+    s.frames_received += t.frames_received;
+    s.responses_sent += t.responses_sent;
+    s.bytes_in += t.bytes_in;
+    s.bytes_out += t.bytes_out;
     s.per_thread.push_back(t);
   }
   return s;
+}
+
+void ServerStats::write_json(report::JsonWriter& j) const {
+  j.begin_object();
+  j.key("threads").value(per_thread.size());
+  j.key("node_id").value(node_id);
+  j.key("cluster_nodes_alive").value(cluster_nodes_alive);
+  j.key("connections_accepted").value(connections_accepted);
+  j.key("connections_closed").value(connections_closed);
+  j.key("connections_active").value(connections_active);
+  j.key("sessions_active").value(sessions_active);
+  j.key("frames_received").value(frames_received);
+  j.key("data_frames").value(data_frames);
+  j.key("responses_sent").value(responses_sent);
+  j.key("errors_sent").value(errors_sent);
+  j.key("protocol_errors").value(protocol_errors);
+  j.key("window_violations").value(window_violations);
+  j.key("deferred_retries").value(deferred_retries);
+  j.key("idle_closes").value(idle_closes);
+  j.key("drains").value(drains);
+  j.key("admin_frames").value(admin_frames);
+  j.key("bytes_in").value(bytes_in);
+  j.key("bytes_out").value(bytes_out);
+  j.key("in_flight").value(in_flight);
+  j.key("redirects_sent").value(redirects_sent);
+  j.key("gossip_frames").value(gossip_frames);
+  j.key("gossip_rounds").value(gossip_rounds);
+  j.key("request_latency_us");
+  obs::write_json(j, request_latency_us);
+  j.key("session_in_flight");
+  obs::write_json(j, session_in_flight);
+  j.key("trace_events").value(trace_events);
+  j.key("trace_dropped").value(trace_dropped);
+  j.key("per_thread").begin_array();
+  for (const auto& t : per_thread) {
+    j.begin_object();
+    j.key("thread").value(t.thread);
+    j.key("connections_adopted").value(t.connections_adopted);
+    j.key("frames_received").value(t.frames_received);
+    j.key("responses_sent").value(t.responses_sent);
+    j.key("bytes_in").value(t.bytes_in);
+    j.key("bytes_out").value(t.bytes_out);
+    j.end_object();
+  }
+  j.end_array();
+  j.end_object();
+}
+
+std::string ServerStats::report() const {
+  char line[192];
+  std::string out;
+  const auto add = [&](const char* fmt, auto... args) {
+    std::snprintf(line, sizeof line, fmt, args...);
+    out += line;
+  };
+  const auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
+  add("net: %zu event-loop threads, %llu connections (%llu active, %llu sessions), "
+      "%.1f MiB in / %.1f MiB out\n",
+      per_thread.size(), u(connections_accepted), u(connections_active), u(sessions_active),
+      static_cast<double>(bytes_in) / (1024.0 * 1024.0),
+      static_cast<double>(bytes_out) / (1024.0 * 1024.0));
+  add("  frames:    %llu in (%llu data), %llu responses, %llu errors, %llu protocol errors, "
+      "%llu window violations\n",
+      u(frames_received), u(data_frames), u(responses_sent), u(errors_sent),
+      u(protocol_errors), u(window_violations));
+  add("  flow:      %llu deferred retries, %llu in flight, %llu drains, %llu idle closes, "
+      "%llu admin frames\n",
+      u(deferred_retries), u(in_flight), u(drains), u(idle_closes), u(admin_frames));
+  if (request_latency_us.count)
+    add("  latency:   request p50 %llu us, p99 %llu us, max %llu us (%llu samples)\n",
+        u(request_latency_us.percentile(0.50)), u(request_latency_us.percentile(0.99)),
+        u(request_latency_us.max), u(request_latency_us.count));
+  if (!node_id.empty())
+    add("  cluster:   node %s, %llu alive; %llu redirects sent, %llu gossip frames, "
+        "%llu gossip rounds\n",
+        node_id.c_str(), u(cluster_nodes_alive), u(redirects_sent), u(gossip_frames),
+        u(gossip_rounds));
+  if (trace_events)
+    add("  trace:     %llu events recorded, %llu overwritten by ring wrap\n", u(trace_events),
+        u(trace_dropped));
+  for (const auto& t : per_thread)
+    add("  thread %2d: %llu conns adopted, %llu frames, %llu responses, %llu B in, "
+        "%llu B out\n",
+        t.thread, u(t.connections_adopted), u(t.frames_received), u(t.responses_sent),
+        u(t.bytes_in), u(t.bytes_out));
+  return out;
 }
 
 bool Server::write_chrome_trace(std::ostream& os) const {

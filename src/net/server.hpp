@@ -103,7 +103,8 @@ struct ServerConfig {
   std::optional<ClusterConfig> cluster;
 };
 
-/// One event-loop thread's share of the work (all monotonic).
+/// One event-loop thread's share of the work (all monotonic). These rows
+/// are the only copy of their counters: ServerStats' totals are their sums.
 struct ServerThreadStats {
   int thread = 0;
   std::uint64_t connections_adopted = 0;
@@ -119,9 +120,9 @@ struct ServerStats {
   std::uint64_t connections_closed = 0;
   std::uint64_t connections_active = 0;   ///< gauge
   std::uint64_t sessions_active = 0;      ///< gauge: connections past kHello
-  std::uint64_t frames_received = 0;      ///< complete verified frames decoded
+  std::uint64_t frames_received = 0;      ///< complete verified frames decoded (sum of per_thread)
   std::uint64_t data_frames = 0;          ///< of which enc/dec/ctr work
-  std::uint64_t responses_sent = 0;       ///< kResult frames queued for write
+  std::uint64_t responses_sent = 0;       ///< kResult/kAdminOk frames queued (sum of per_thread)
   std::uint64_t errors_sent = 0;          ///< kError frames queued for write
   std::uint64_t protocol_errors = 0;      ///< decoder poisonings (framing lost)
   std::uint64_t window_violations = 0;
@@ -129,20 +130,25 @@ struct ServerStats {
   std::uint64_t idle_closes = 0;
   std::uint64_t drains = 0;               ///< kDrainOk barriers completed
   std::uint64_t admin_frames = 0;         ///< fleet admin requests handled
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
+  std::uint64_t bytes_in = 0;             ///< sum of per_thread
+  std::uint64_t bytes_out = 0;            ///< sum of per_thread
   std::uint64_t in_flight = 0;            ///< gauge: frames submitted, not answered
   std::uint64_t redirects_sent = 0;       ///< frames bounced to their owning node
   std::uint64_t gossip_frames = 0;        ///< kGossip requests served
   std::uint64_t gossip_rounds = 0;        ///< outbound gossip dials attempted
   std::uint64_t cluster_nodes_alive = 0;  ///< gauge; 0 when not clustered
   std::string node_id;                    ///< empty when not clustered
-  std::string poller = "epoll";  ///< what idle loops sleep on (ReadinessSet)
   obs::HistogramSnapshot request_latency_us;  ///< frame decoded -> response queued
   obs::HistogramSnapshot session_in_flight;   ///< window occupancy per data frame
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
   std::vector<ServerThreadStats> per_thread;  ///< one entry per event-loop thread
+
+  /// The one JSON rendering: every field above (plus `threads`, the row
+  /// count) as a single object written into `j`, nestable under a key.
+  void write_json(report::JsonWriter& j) const;
+  /// Human-readable multi-line report, one line per event-loop thread.
+  std::string report() const;
 };
 
 class Server {
@@ -193,6 +199,7 @@ class Server {
 
   bool service_reads(Connection& c);
   bool handle_frame(Connection& c, Frame&& f);
+  bool admin_allowed(Connection& c, const Frame& f);
   bool handle_admin_frame(Connection& c, Frame&& f);
   void handle_data_frame(Connection& c, Frame&& f);
   bool maybe_redirect(Connection& c, const Frame& f);
@@ -222,15 +229,14 @@ class Server {
   std::atomic<bool> gossip_stop_{false};
 
   // Counters are written by the loop threads, read by anyone (relaxed
-  // atomics, same pattern as the farm's WorkerCounters).
+  // atomics, same pattern as the farm's WorkerCounters). The per-frame and
+  // per-byte counts live only in each Loop's per-thread row.
   struct Counters {
     std::atomic<std::uint64_t> connections_accepted{0};
     std::atomic<std::uint64_t> connections_closed{0};
     std::atomic<std::uint64_t> connections_active{0};
     std::atomic<std::uint64_t> sessions_active{0};
-    std::atomic<std::uint64_t> frames_received{0};
     std::atomic<std::uint64_t> data_frames{0};
-    std::atomic<std::uint64_t> responses_sent{0};
     std::atomic<std::uint64_t> errors_sent{0};
     std::atomic<std::uint64_t> protocol_errors{0};
     std::atomic<std::uint64_t> window_violations{0};
@@ -238,8 +244,6 @@ class Server {
     std::atomic<std::uint64_t> idle_closes{0};
     std::atomic<std::uint64_t> drains{0};
     std::atomic<std::uint64_t> admin_frames{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
     std::atomic<std::uint64_t> in_flight{0};
     std::atomic<std::uint64_t> redirects_sent{0};
     std::atomic<std::uint64_t> gossip_frames{0};

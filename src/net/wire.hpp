@@ -44,7 +44,8 @@
 //               is the sender's encoded Director view -> kGossipOk carries
 //               the receiver's view back. Refused with kNotClustered at a
 //               server running without --cluster.
-//   kAdminStatus       empty -> kAdminStatusOk carries the fleet JSON
+//   kAdminStatus       empty -> kAdminStatusOk carries the farm stats JSON,
+//                      the same bytes kStats answers
 //   kAdminSwapEngine   [u8 worker, 0xFF = all][u8 EngineKind: 0=sw
 //                      1=behavioral 2=netlist][optional variant name bytes,
 //                      e.g. "pipe5-xtime" (arch::VariantSpec::parse); absent
@@ -62,7 +63,7 @@
 //   kKeyOk      empty (the key is installed in the session; the farm loads
 //               it onto a core lazily, so setup cycles are a farm metric)
 //   kResult     the output bytes of the matching request
-//   kAdminStatusOk  fleet status JSON (utf-8)
+//   kAdminStatusOk  farm stats JSON (utf-8), as kStatsOk
 //   kAdminOk    utf-8 summary of the executed admin action
 //   kRedirect   utf-8 address of the node that owns this session on the
 //               cluster's hash ring; the client reconnects there and

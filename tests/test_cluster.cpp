@@ -702,12 +702,12 @@ TEST(EpollServer, PerThreadFanInAccountsForEverything) {
 
       server.stop();
       const auto st = server.stats();
-      EXPECT_EQ(st.poller, "epoll");
       ASSERT_EQ(st.per_thread.size(), static_cast<std::size_t>(threads));
 
-      // Per-thread counters must partition the totals exactly: every
-      // connection was adopted by exactly one loop, every frame read and
-      // every response written on exactly one loop.
+      // The per-thread rows are the only copy of the frame and byte
+      // counters and the totals are their sums; every connection was
+      // adopted by exactly one loop, and every frame read and every
+      // response written on it.
       std::uint64_t adopted = 0, frames = 0, responses = 0, bytes_in = 0, bytes_out = 0;
       for (const auto& t : st.per_thread) {
         adopted += t.connections_adopted;
@@ -723,9 +723,14 @@ TEST(EpollServer, PerThreadFanInAccountsForEverything) {
       EXPECT_EQ(bytes_in, st.bytes_in);
       EXPECT_EQ(bytes_out, st.bytes_out);
       // Round-robin adoption: 8 connections dealt evenly over the loops.
-      for (const auto& t : st.per_thread)
+      // Each session sends hello, set_key, 16 data frames, drain and bye,
+      // and gets one kResult per data frame.
+      for (const auto& t : st.per_thread) {
         EXPECT_EQ(t.connections_adopted, 8u / static_cast<unsigned>(threads))
             << "loop " << t.thread;
+        EXPECT_EQ(t.frames_received, 20u * t.connections_adopted) << "loop " << t.thread;
+        EXPECT_EQ(t.responses_sent, 16u * t.connections_adopted) << "loop " << t.thread;
+      }
       EXPECT_EQ(st.responses_sent, st.data_frames);
       EXPECT_EQ(st.protocol_errors, 0u);
     }

@@ -11,7 +11,6 @@
 #include <random>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -200,7 +199,6 @@ TEST(FleetSpotCheck, MismatchReplaysBitExactAndHeals) {
   farm::FarmConfig cfg;
   cfg.workers = 1;
   cfg.spot_check_fraction = 1.0;
-  cfg.heal_on_mismatch = true;
   cfg.engine_factory = [] { return std::make_unique<FaultyEngine>(); };
   farm::Farm f(cfg);
 
@@ -236,91 +234,6 @@ TEST(FleetSpotCheck, MismatchReplaysBitExactAndHeals) {
   EXPECT_EQ(res.data, expect);
   EXPECT_FALSE(res.replayed);
   EXPECT_EQ(f.stats().spot_mismatches, 1u);
-}
-
-// The adaptive controller: a mismatch flips the worker to the boosted
-// sampling rate; spot_check_decay_jobs consecutive clean checks decay it
-// back. Counters surface through FarmStats and the admin status JSON.
-TEST(FleetSpotCheck, AdaptiveBoostRaisesThenDecays) {
-  farm::FarmConfig cfg;
-  cfg.workers = 1;
-  cfg.spot_check_fraction = 1.0;  // deterministic detection for the test
-  cfg.spot_check_boost_fraction = 1.0;
-  cfg.spot_check_decay_jobs = 3;
-  cfg.heal_on_mismatch = true;
-  cfg.engine_factory = [] { return std::make_unique<FaultyEngine>(); };
-  farm::Farm f(cfg);
-
-  std::mt19937 rng(9);
-  farm::Key128 key;
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng());
-
-  ASSERT_TRUE(f.inject_fault(0, 0).get().flipped);
-  auto req = make_request(rng, 1, key);
-  auto res = f.process(std::move(req));
-  EXPECT_TRUE(res.replayed);
-
-  auto st = f.stats();
-  EXPECT_EQ(st.spot_boosts, 1u);
-  EXPECT_EQ(st.workers_boosted, 1);
-
-  // The heal rebuilt a clean engine: three clean boosted checks, then decay.
-  for (int i = 0; i < 3; ++i) {
-    auto clean = make_request(rng, 1, key);
-    const auto expect = oracle(clean);
-    const auto r = f.process(std::move(clean));
-    EXPECT_EQ(r.data, expect);
-    EXPECT_FALSE(r.replayed);
-  }
-  st = f.stats();
-  EXPECT_EQ(st.spot_boosts, 1u);  // one episode, not re-entered per check
-  EXPECT_EQ(st.spot_boost_checks, 3u);
-  EXPECT_EQ(st.workers_boosted, 0);
-
-  // A second mismatch opens a second episode.
-  ASSERT_TRUE(f.inject_fault(0, 0).get().flipped);
-  auto again = make_request(rng, 1, key);
-  EXPECT_TRUE(f.process(std::move(again)).replayed);
-  st = f.stats();
-  EXPECT_EQ(st.spot_boosts, 2u);
-  EXPECT_EQ(st.workers_boosted, 1);
-
-  // The admin status JSON mirrors the counters.
-  const auto status = f.stats();
-  EXPECT_EQ(status.spot_boosts, 2u);
-  EXPECT_EQ(status.spot_boost_checks, 3u);
-  EXPECT_EQ(status.workers_boosted, 1);
-  std::ostringstream os;
-  status.write_status_json(os, "");
-  EXPECT_NE(os.str().find("\"spot_boosts\": 2"), std::string::npos) << os.str();
-  EXPECT_NE(os.str().find("\"workers_boosted\": 1"), std::string::npos) << os.str();
-}
-
-TEST(FleetSpotCheck, HealOffStillReplaysFromOracle) {
-  farm::FarmConfig cfg;
-  cfg.workers = 1;
-  cfg.spot_check_fraction = 1.0;
-  cfg.heal_on_mismatch = false;
-  cfg.engine_factory = [] { return std::make_unique<FaultyEngine>(); };
-  farm::Farm f(cfg);
-
-  std::mt19937 rng(5);
-  farm::Key128 key;
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng());
-  ASSERT_TRUE(f.inject_fault(0, 0).get().flipped);
-
-  // Without healing every job keeps mismatching — and every one is still
-  // answered bit-exactly from the oracle.
-  for (int i = 0; i < 3; ++i) {
-    auto req = make_request(rng, 1, key);
-    const auto expect = oracle(req);
-    const auto res = f.process(std::move(req));
-    EXPECT_EQ(res.data, expect);
-    EXPECT_TRUE(res.replayed);
-  }
-  const auto st = f.stats();
-  EXPECT_EQ(st.spot_mismatches, 3u);
-  EXPECT_EQ(st.heals, 0u);
 }
 
 // --- quarantine --------------------------------------------------------------
@@ -523,21 +436,77 @@ TEST(FleetAdmin, StatusJsonKeySetIsPinned) {
   for (auto it = std::sregex_iterator(status.begin(), status.end(), key_re);
        it != std::sregex_iterator(); ++it)
     keys.push_back((*it)[1]);
-  std::vector<std::string> want = {
-      "workers",          "workers_enabled",   "batch_backend",     "batch_lanes",
-      "swaps",            "heals",             "quarantines",       "spot_checks",
-      "spot_mismatches",  "replayed_jobs",     "spot_boosts",       "spot_boost_checks",
-      "workers_boosted",  "sessions_migrated", "swap_pause_p50_us", "swap_pause_max_us",
-      "per_worker"};
+  // FarmStats::write_json, the one farm renderer; every histogram is an
+  // obs::write_json object.
+  std::vector<std::string> want;
+  const auto add = [&](std::initializer_list<const char*> ks) {
+    for (const char* k : ks) want.emplace_back(k);
+  };
+  const auto hist = [&](const char* name) {
+    add({name, "count", "sum", "mean", "max", "p50", "p90", "p99", "buckets"});
+  };
+  add({"workers", "workers_enabled", "engine", "batch_backend", "batch_lanes", "requests",
+       "blocks", "rejected", "ctr_fanouts", "ctr_chunks", "key_hits", "key_loads",
+       "key_hit_rate", "session_evictions", "sessions_live", "queue_capacity",
+       "queue_high_water"});
+  hist("queue_depth");
+  hist("queue_wait_us");
+  add({"swaps", "heals", "quarantines", "spot_checks", "spot_mismatches", "replayed_jobs",
+       "sessions_migrated"});
+  hist("swap_pause_us");
+  add({"trace_events", "trace_dropped", "wall_seconds", "blocks_per_wall_sec", "total_cycles",
+       "total_setup_cycles", "max_worker_cycles", "cycles_per_block", "clock_ns",
+       "sim_blocks_per_sec", "sim_mbps"});
+  hist("latency_us");
+  add({"per_worker"});
   for (int w = 0; w < 2; ++w)
-    for (const char* k : {"worker", "engine", "enabled", "blocks"}) want.emplace_back(k);
+    add({"worker", "engine", "enabled", "requests", "blocks", "cycles", "setup_cycles", "busy_ns",
+         "utilization"});
   EXPECT_EQ(keys, want) << status;
 
   for (const char* needle :
-       {"\"workers\": 2", "\"workers_enabled\": 2", "\"swaps\": 0", "\"swap_pause_p50_us\": 0",
-        "\"swap_pause_max_us\": 0", "\"worker\": 1", "\"engine\": \"sw\"", "\"enabled\": true",
-        "\"blocks\": 0"})
+       {"\"workers\": 2", "\"workers_enabled\": 2", "\"swaps\": 0", "\"worker\": 1",
+        "\"engine\": \"sw\"", "\"enabled\": true", "\"blocks\": 0"})
     EXPECT_NE(status.find(needle), std::string::npos) << needle << "\n" << status;
+}
+
+// kStats and kAdminStatus answer the same farm snapshot JSON; only the
+// admin gate and the reply opcode differ. On a cluster node the object
+// carries the node id. The wall-clock readings advance between the two
+// requests, so their values are masked before comparing.
+TEST(FleetAdmin, StatsAndStatusAnswerTheSameJson) {
+  const auto mask = [](const std::string& json) {
+    static const std::regex wall("(\"(wall_seconds|blocks_per_wall_sec|utilization)\": )[^,\n]+");
+    return std::regex_replace(json, wall, "$1#");
+  };
+  for (const bool clustered : {false, true}) {
+    SCOPED_TRACE(clustered ? "one-node cluster" : "unclustered");
+    auto cfg = admin_server_cfg(2);
+    if (clustered) {
+      net::ClusterConfig cc;
+      cc.node_id = "n0";
+      cfg.cluster = cc;
+    }
+    net::LoopbackTransport transport;
+    net::Server server(transport, "same", cfg);
+    server.start();
+    std::string stats, status;
+    {
+      net::Client client(transport, "same", 1);
+      farm::Key128 key{}, iv{};
+      key[0] = 7;
+      client.set_key(key);
+      client.enc_blocks(/*cbc=*/true, iv, std::vector<std::uint8_t>(64, 0x5a));
+      stats = client.stats_json();
+      status = client.fleet_status_json();
+      client.bye();
+    }
+    server.stop();
+    EXPECT_NE(stats.find("\"wall_seconds\": "), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"blocks\": 4"), std::string::npos) << stats;
+    EXPECT_EQ(mask(stats), mask(status));
+    EXPECT_EQ(status.find("\"node\": \"n0\"") != std::string::npos, clustered) << status;
+  }
 }
 
 // An auto-site inject (site 0xFFFFFFFF) picks its site on the target

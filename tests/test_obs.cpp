@@ -20,6 +20,7 @@
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
+#include "report/json.hpp"
 
 namespace core = aesip::core;
 namespace hdl = aesip::hdl;
@@ -447,7 +448,10 @@ TEST(FarmMetrics, StatsJsonCarriesObservabilityFields) {
     futs.push_back(f.submit(small_request(static_cast<std::uint64_t>(i % 2), rng)));
   for (auto& fu : futs) fu.get();
   std::ostringstream os;
-  f.stats().write_json(os, 14.0);
+  {
+    aesip::report::JsonWriter j(os);
+    f.stats().write_json(j, 14.0);
+  }
   const std::string s = os.str();
   EXPECT_NE(s.find("\"queue_wait_us\""), std::string::npos);
   EXPECT_NE(s.find("\"queue_depth\""), std::string::npos);

@@ -476,7 +476,8 @@ int cmd_farm(const Args& args) {
   if (!json_path.empty()) {
     std::ofstream jf(json_path);
     if (!jf) die("cannot write " + json_path);
-    st.write_json(jf, cfg.clock_ns);
+    report::JsonWriter j(jf);
+    st.write_json(j, cfg.clock_ns);
     std::printf("stats written to %s\n", json_path.c_str());
   }
   if (!trace_path.empty()) {
@@ -627,23 +628,7 @@ int cmd_metrics(const Args& args) {
     }
     for (auto& fu : futs) fu.get();
     fst = f.stats();
-    if (text) {
-      std::printf("\nfarm (%d workers, tracing on, 256 requests):\n", fcfg.workers);
-      std::printf("  batch: %s backend, %zu lanes per engine pass\n",
-                  fst->batch_backend.c_str(), fst->batch_lanes);
-      std::printf("  queue wait us: p50 %llu  p99 %llu  max %llu\n",
-                  static_cast<unsigned long long>(fst->queue_wait_us.percentile(0.50)),
-                  static_cast<unsigned long long>(fst->queue_wait_us.percentile(0.99)),
-                  static_cast<unsigned long long>(fst->queue_wait_us.max));
-      std::printf("  key hit rate: %.1f%%   trace events: %llu (%llu dropped)\n",
-                  100.0 * fst->key_hit_rate(),
-                  static_cast<unsigned long long>(fst->trace_events),
-                  static_cast<unsigned long long>(fst->trace_dropped));
-      for (std::size_t w = 0; w < fst->per_worker.size(); ++w)
-        std::printf("  worker %zu: %llu requests, %.1f%% utilized\n", w,
-                    static_cast<unsigned long long>(fst->per_worker[w].requests),
-                    100.0 * fst->per_worker[w].utilization);
-    }
+    if (text) std::printf("\n%s", fst->report(fcfg.clock_ns).c_str());
     if (!trace_path.empty()) {
       std::ofstream tf(trace_path);
       if (!tf) die("cannot write " + trace_path);
@@ -682,15 +667,7 @@ int cmd_metrics(const Args& args) {
     }
     srv.stop();
     nst = srv.stats();
-    if (text) {
-      std::printf("\nnet (%d event-loop threads, %s readiness, node %s):\n", net_threads,
-                  nst->poller.c_str(), nst->node_id.c_str());
-      for (const auto& t : nst->per_thread)
-        std::printf("  thread %d: %llu conns adopted, %llu frames, %llu responses\n", t.thread,
-                    static_cast<unsigned long long>(t.connections_adopted),
-                    static_cast<unsigned long long>(t.frames_received),
-                    static_cast<unsigned long long>(t.responses_sent));
-    }
+    if (text) std::printf("\n%s", nst->report().c_str());
   }
 
   // --- JSON (schema: docs/benchmarks.md) -------------------------------------
@@ -703,7 +680,7 @@ int cmd_metrics(const Args& args) {
     std::ostream& os = json_to_stdout ? std::cout : jfile;
     report::JsonWriter j(os);
     j.begin_object();
-    j.key("schema").value("aesip-metrics-v1");
+    j.key("schema").value("aesip-metrics-v2");
     j.key("engine").value(eng->name());
     j.key("batch_backend").value(batch_backend);
     j.key("batch_lanes").value(batch_lanes);
@@ -748,63 +725,13 @@ int cmd_metrics(const Args& args) {
     }
 
     if (fst) {
-      j.key("farm").begin_object();
-      j.key("workers").value(fst->workers);
-      j.key("batch_backend").value(fst->batch_backend);
-      j.key("batch_lanes").value(fst->batch_lanes);
-      j.key("requests").value(fst->requests);
-      j.key("blocks").value(fst->blocks);
-      j.key("key_hit_rate").value(fst->key_hit_rate());
-      j.key("queue_depth");
-      obs::write_json(j, fst->queue_depth);
-      j.key("queue_wait_us");
-      obs::write_json(j, fst->queue_wait_us);
-      j.key("trace_events").value(fst->trace_events);
-      j.key("trace_dropped").value(fst->trace_dropped);
-      j.key("fleet").begin_object();
-      j.key("swaps").value(fst->swaps);
-      j.key("heals").value(fst->heals);
-      j.key("quarantines").value(fst->quarantines);
-      j.key("spot_checks").value(fst->spot_checks);
-      j.key("spot_mismatches").value(fst->spot_mismatches);
-      j.key("spot_boosts").value(fst->spot_boosts);
-      j.key("spot_boost_checks").value(fst->spot_boost_checks);
-      j.key("workers_boosted").value(fst->workers_boosted);
-      j.key("replayed_jobs").value(fst->replayed_jobs);
-      j.key("sessions_migrated").value(fst->sessions_migrated);
-      j.key("workers_enabled").value(fst->workers_enabled);
-      j.end_object();
-      j.key("utilization").begin_array();
-      for (const auto& w : fst->per_worker) j.value(w.utilization);
-      j.end_array();
-      j.end_object();
+      j.key("farm");
+      fst->write_json(j, fcfg.clock_ns);
     }
 
     if (nst) {
-      j.key("net").begin_object();
-      j.key("threads").value(static_cast<std::uint64_t>(nst->per_thread.size()));
-      j.key("poller").value(nst->poller);
-      j.key("node_id").value(nst->node_id);
-      j.key("cluster_nodes_alive").value(nst->cluster_nodes_alive);
-      j.key("connections_accepted").value(nst->connections_accepted);
-      j.key("frames_received").value(nst->frames_received);
-      j.key("responses_sent").value(nst->responses_sent);
-      j.key("redirects_sent").value(nst->redirects_sent);
-      j.key("gossip_frames").value(nst->gossip_frames);
-      j.key("gossip_rounds").value(nst->gossip_rounds);
-      j.key("per_thread").begin_array();
-      for (const auto& t : nst->per_thread) {
-        j.begin_object();
-        j.key("thread").value(t.thread);
-        j.key("connections_adopted").value(t.connections_adopted);
-        j.key("frames_received").value(t.frames_received);
-        j.key("responses_sent").value(t.responses_sent);
-        j.key("bytes_in").value(t.bytes_in);
-        j.key("bytes_out").value(t.bytes_out);
-        j.end_object();
-      }
-      j.end_array();
-      j.end_object();
+      j.key("net");
+      nst->write_json(j);
     }
     j.end_object();
     if (text && !json_to_stdout)
@@ -878,8 +805,7 @@ int cmd_serve(const Args& args) {
               server.address().c_str(), transport->name(), cfg.farm.workers,
               engine::kind_name(cfg.farm.engine), keybits, cfg.window,
               cfg.admin ? "on" : "off", 100.0 * cfg.farm.spot_check_fraction);
-  std::printf("aesip serve: %d event-loop threads (%s readiness)\n", cfg.threads,
-              server.stats().poller.c_str());
+  std::printf("aesip serve: %d event-loop threads\n", cfg.threads);
   if (cfg.cluster)
     std::printf("aesip serve: cluster node '%s' (%zu seeds, gossip every %lld ms)\n",
                 cfg.cluster->node_id.c_str(), cfg.cluster->seeds.size(),
@@ -889,40 +815,8 @@ int cmd_serve(const Args& args) {
   server.run();
   g_serve_instance.store(nullptr, std::memory_order_release);
 
-  const auto st = server.stats();
-  std::printf("aesip serve: drained. %llu connections, %llu frames in, %llu responses, "
-              "%llu errors, %.1f MiB in / %.1f MiB out\n",
-              static_cast<unsigned long long>(st.connections_accepted),
-              static_cast<unsigned long long>(st.frames_received),
-              static_cast<unsigned long long>(st.responses_sent),
-              static_cast<unsigned long long>(st.errors_sent),
-              static_cast<double>(st.bytes_in) / (1024.0 * 1024.0),
-              static_cast<double>(st.bytes_out) / (1024.0 * 1024.0));
-  std::printf("  request latency us: p50 %llu  p99 %llu  max %llu\n",
-              static_cast<unsigned long long>(st.request_latency_us.percentile(0.50)),
-              static_cast<unsigned long long>(st.request_latency_us.percentile(0.99)),
-              static_cast<unsigned long long>(st.request_latency_us.max));
-  for (const auto& t : st.per_thread)
-    if (st.per_thread.size() > 1)
-      std::printf("  thread %d: %llu conns adopted, %llu frames, %llu responses\n", t.thread,
-                  static_cast<unsigned long long>(t.connections_adopted),
-                  static_cast<unsigned long long>(t.frames_received),
-                  static_cast<unsigned long long>(t.responses_sent));
-  if (cfg.cluster)
-    std::printf("  cluster: %llu redirects sent, %llu gossip frames, %llu gossip rounds\n",
-                static_cast<unsigned long long>(st.redirects_sent),
-                static_cast<unsigned long long>(st.gossip_frames),
-                static_cast<unsigned long long>(st.gossip_rounds));
-  const auto fst = server.farm_stats();
-  if (fst.swaps || fst.heals || fst.quarantines || fst.spot_checks)
-    std::printf("  fleet: %llu swaps, %llu heals, %llu quarantines, %llu spot-checks "
-                "(%llu mismatches, %llu replayed)\n",
-                static_cast<unsigned long long>(fst.swaps),
-                static_cast<unsigned long long>(fst.heals),
-                static_cast<unsigned long long>(fst.quarantines),
-                static_cast<unsigned long long>(fst.spot_checks),
-                static_cast<unsigned long long>(fst.spot_mismatches),
-                static_cast<unsigned long long>(fst.replayed_jobs));
+  std::printf("aesip serve: drained.\n%s%s", server.stats().report().c_str(),
+              server.farm_stats().report(cfg.farm.clock_ns).c_str());
   if (!trace_path.empty()) {
     std::ofstream tf(trace_path);
     if (!tf) die("cannot write " + trace_path);
@@ -1217,14 +1111,8 @@ int cmd_loadgen(const Args& args) {
   }
   if (self_hosted) {
     self_hosted->stop();
-    const auto fst = self_hosted->farm_stats();
-    std::printf("loadgen: fleet: %llu swaps, %llu heals, %llu spot-checks "
-                "(%llu mismatches caught, %llu jobs replayed from the oracle)\n",
-                static_cast<unsigned long long>(fst.swaps),
-                static_cast<unsigned long long>(fst.heals),
-                static_cast<unsigned long long>(fst.spot_checks),
-                static_cast<unsigned long long>(fst.spot_mismatches),
-                static_cast<unsigned long long>(fst.replayed_jobs));
+    std::printf("loadgen: self-hosted server:\n%s",
+                self_hosted->farm_stats().report(self_hosted->config().farm.clock_ns).c_str());
   }
   // Corrupted frames = verification mismatches; lost frames = sessions that
   // failed to collect every response (collect_one would have thrown).
@@ -1391,7 +1279,7 @@ void usage() {
       "           [--json FILE|-] [--trace FILE]  (--net probes an in-process\n"
       "           multi-threaded server for the per-thread/cluster counters)\n"
       "  serve    [--listen HOST:PORT] [--workers N] [--engine sw|behavioral|netlist]\n"
-      "           [--threads N] (event-loop threads: epoll/poll readiness)\n"
+      "           [--threads N] (event-loop threads, each sleeping on epoll)\n"
       "           [--udp] [--mtu N] (aesip-netchan-v1 over UDP instead of TCP)\n"
       "           [--cluster --node-id ID --seeds A,B --advertise ADDR]\n"
       "           [--gossip-ms MS] [--suspect-ms MS] [--vnodes N]\n"

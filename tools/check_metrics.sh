@@ -18,7 +18,7 @@ fi
 
 fail=0
 for needle in \
-  '"schema": "aesip-metrics-v1"' \
+  '"schema": "aesip-metrics-v2"' \
   '"invariants_ok": true' \
   '"cycles_per_round": 5' \
   '"cycles_per_block": 50' \
@@ -38,10 +38,11 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
-# The farm section must carry the fleet counters (hot-swap / spot-check /
-# quarantine-heal; docs/farm.md#live-reconfiguration) — all zero on this
-# unreconfigured run, but the keys must exist so dashboards can rely on
-# them.
+# The farm object is FarmStats::write_json: it must carry the fleet
+# counters (hot-swap / spot-check / quarantine-heal;
+# docs/farm.md#live-reconfiguration) — all zero on this unreconfigured
+# run, but the keys must exist so dashboards can rely on them — and the
+# per-worker rows with their utilization.
 fout=$("$aesip" metrics --blocks 4 --farm yes --workers 2 --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --farm yes failed" >&2
@@ -49,18 +50,22 @@ if [ $? -ne 0 ]; then
   exit 1
 fi
 for needle in \
-  '"fleet": {' \
+  '"farm": {' \
   '"batch_backend": "' \
   '"batch_lanes": ' \
   '"swaps": 0' \
   '"heals": 0' \
   '"spot_checks": 0' \
-  '"spot_boosts": 0' \
-  '"workers_boosted": 0' \
-  '"workers_enabled": 2'
+  '"spot_mismatches": 0' \
+  '"replayed_jobs": 0' \
+  '"workers_enabled": 2' \
+  '"sessions_live": ' \
+  '"per_worker": [' \
+  '"worker": 1' \
+  '"utilization": '
 do
   if ! echo "$fout" | grep -qF "$needle"; then
-    echo "check_metrics: missing $needle in the farm fleet section" >&2
+    echo "check_metrics: missing $needle in the farm section" >&2
     fail=1
   fi
 done
@@ -94,10 +99,10 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
-# The net section (docs/cluster.md): a live multi-threaded server behind
-# `--net yes` must report what its loops sleep on (the poller: always
-# "epoll"), per-event-loop-thread counters, and the cluster identity/gossip
-# counters dashboards shard by.
+# The net object is ServerStats::write_json (docs/cluster.md): a live
+# multi-threaded server behind `--net yes` must report its per-event-loop-
+# thread counters and the cluster identity/gossip counters dashboards
+# shard by.
 nout=$("$aesip" metrics --blocks 4 --farm no --net yes --net-threads 2 --json - 2>&1)
 if [ $? -ne 0 ]; then
   echo "check_metrics: aesip metrics --net yes failed" >&2
@@ -107,10 +112,10 @@ fi
 for needle in \
   '"net": {' \
   '"threads": 2' \
-  '"poller": "epoll"' \
   '"node_id": "metrics-n0"' \
   '"cluster_nodes_alive": 1' \
   '"redirects_sent": 0' \
+  '"request_latency_us": {' \
   '"per_thread": [' \
   '"connections_adopted": '
 do
