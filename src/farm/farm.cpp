@@ -16,6 +16,11 @@
 namespace aesip::farm {
 
 namespace {
+/// Jobs a worker drains per queue wake-up.
+constexpr std::size_t kDispatchBatch = 16;
+/// Trace events kept per worker ring (FarmConfig::tracing).
+constexpr std::size_t kTraceCapacity = 8192;
+
 /// Trace-event name table; TraceEvent::name indexes into this. The first
 /// three entries line up with the Mode enum so a job's name is its mode.
 constexpr const char* kTraceNames[] = {"ecb", "cbc", "ctr"};
@@ -152,7 +157,7 @@ Farm::Farm(const FarmConfig& cfg)
     queues_.push_back(std::make_unique<BoundedQueue<Job>>(cfg_.queue_capacity));
   if (cfg_.tracing)
     tracer_ = std::make_unique<obs::Tracer>(static_cast<std::size_t>(cfg_.workers),
-                                            cfg_.trace_capacity);
+                                            kTraceCapacity);
   start_ = std::chrono::steady_clock::now();
   threads_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i) threads_.emplace_back([this, i] { worker_main(i); });
@@ -259,7 +264,7 @@ void Farm::worker_main(int index) {
   // then sees back-to-back jobs without a queue round-trip between them,
   // and each job's block-parallel work runs through the batch path below.
   for (;;) {
-    auto jobs = queue.pop_batch(cfg_.dispatch_batch);
+    auto jobs = queue.pop_batch(kDispatchBatch);
     if (jobs.empty()) break;
     for (auto& job : jobs) {
       if (job.control) {

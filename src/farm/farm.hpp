@@ -11,8 +11,8 @@
 // holds its key, exploiting the on-the-fly key schedule: re-keying costs
 // bus cycles (+40 setup cycles for decrypt-capable devices), reuse is free.
 //
-// Workers drain up to FarmConfig::dispatch_batch jobs per queue wake-up and
-// run each job's block-parallel work through CipherEngine::process_batch
+// Workers drain up to 16 jobs per queue wake-up and run each job's
+// block-parallel work through CipherEngine::process_batch
 // (engine/batch_modes.hpp), so a lane-packed netlist engine sees full
 // 64-wide batches under load instead of one block per evaluator pass.
 //
@@ -69,10 +69,8 @@ struct FarmConfig {
   std::size_t max_sessions = 64;         ///< session-binding table size
   std::size_t ctr_chunk_blocks = 32;     ///< fan-out chunk size, in blocks
   std::size_t ctr_fanout_min_blocks = 64;///< payloads below this stay on one core
-  std::size_t dispatch_batch = 16;       ///< jobs a worker drains per queue wake-up
   double clock_ns = 14.0;                ///< Tclk for simulated-domain reporting
-  bool tracing = false;                  ///< record per-job events (Chrome trace)
-  std::size_t trace_capacity = 8192;     ///< events kept per worker ring
+  bool tracing = false;                  ///< record per-job events (8192 per worker ring)
 
   /// Which CipherEngine each worker owns. Netlist farms synthesize ONE
   /// shared immutable gate netlist in the Farm constructor; each worker

@@ -6,11 +6,15 @@
 #include <future>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
+
+#include <sys/epoll.h>
+#include <unistd.h>
 
 #include "aes/modes.hpp"
 #include "net/client.hpp"
-#include "net/poller.hpp"
+#include "net/socket.hpp"
 #include "report/json.hpp"
 
 namespace aesip::net {
@@ -20,6 +24,9 @@ namespace {
 /// Event-loop sleep granularity: the longest an idle loop waits before it
 /// rechecks its connections.
 constexpr std::chrono::milliseconds kPollInterval{1};
+
+/// Trace events kept per event-loop ring (ServerConfig::tracing).
+constexpr std::size_t kTraceCapacity = 8192;
 
 /// Tracer name table: indices are the categories recorded per frame.
 constexpr const char* kTraceNames[] = {"enc", "dec", "ctr", "control"};
@@ -43,14 +50,40 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point from) {
 
 /// One event-loop thread's world: the connections it owns exclusively, the
 /// inbox loop 0 deals accepted connections into (the only cross-thread
-/// touch point), and the readiness set it sleeps on.
+/// touch point), and the epoll set it sleeps on.
 struct Server::Loop {
+  Loop() : epfd(::epoll_create1(EPOLL_CLOEXEC)) {
+    if (epfd < 0) detail::throw_errno("epoll", "epoll_create1");
+  }
+  ~Loop() { ::close(epfd); }
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  /// The epoll interest list follows the owners of its fds, not a rescan:
+  /// a handle is added with its first user on this loop and deleted after
+  /// its last, before the fd is closed, so a reused fd number can never
+  /// be mistaken for the old one. UDP conns share the listener's socket,
+  /// hence the count. -1 (closed, or a listener hiding its fd) is skipped.
+  void watch(int fd) {
+    if (fd < 0 || fd_users[fd]++ > 0) return;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev);
+  }
+  void unwatch(int fd) {
+    const auto it = fd_users.find(fd);
+    if (it == fd_users.end() || --it->second > 0) return;
+    fd_users.erase(it);
+    ::epoll_ctl(epfd, EPOLL_CTL_DEL, fd, nullptr);
+  }
+
   int index = 0;
   std::vector<std::unique_ptr<Connection>> conns;
   std::mutex inbox_mu;
   std::vector<std::unique_ptr<Conn>> inbox;  ///< accepted, not yet adopted
-  ReadinessSet readiness;  ///< this loop's conn fds (+ the listener's on loop 0)
-  bool watch_dirty = true;  ///< the conn set changed since the last rebuild
+  int epfd;  ///< readable interest in exactly the fds of fd_users
+  std::unordered_map<int, int> fd_users;  ///< fd -> this loop's conns (+ listener) on it
   std::thread thread;
 
   /// This loop's frame and byte counters — their only copy; stats() sums
@@ -126,7 +159,7 @@ Server::Server(Transport& transport, const std::string& address, ServerConfig cf
   if (cfg_.threads < 1) cfg_.threads = 1;
   if (cfg_.tracing)
     tracer_ = std::make_unique<obs::Tracer>(static_cast<std::size_t>(cfg_.threads),
-                                            cfg_.trace_capacity);
+                                            kTraceCapacity);
   for (int i = 0; i < cfg_.threads; ++i) {
     loops_.push_back(std::make_unique<Loop>());
     loops_.back()->index = i;
@@ -188,6 +221,7 @@ void Server::serve() {
 /// loops no inbox will grow again.
 void Server::event_loop(Loop& lp) {
   std::size_t next = 0;
+  if (lp.index == 0) lp.watch(listener_->native_handle());
   for (;;) {
     const bool draining = draining_.load(std::memory_order_acquire);
     bool progress = false;
@@ -227,9 +261,9 @@ bool Server::adopt_inbox(Loop& lp) {
   for (auto& c : batch) {
     auto conn = std::make_unique<Connection>(std::move(c), cfg_.max_payload);
     conn->owner = &lp;
+    lp.watch(conn->conn->native_handle());
     lp.conns.push_back(std::move(conn));
     lp.pt.connections_adopted.fetch_add(1, std::memory_order_relaxed);
-    lp.watch_dirty = true;
   }
   return !batch.empty();
 }
@@ -266,9 +300,9 @@ bool Server::close_finished(Loop& lp, bool draining) {
       if (c.got_hello) counters_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
       counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
       counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+      lp.unwatch(c.conn->native_handle());  // before close: the number may be reused
       c.conn->close();
       it = lp.conns.erase(it);
-      lp.watch_dirty = true;
       progress = true;
     } else {
       ++it;
@@ -279,23 +313,17 @@ bool Server::close_finished(Loop& lp, bool draining) {
 
 /// Nothing moved: sleep until I/O or a completion can change that. With
 /// work in flight, waiting on the oldest future wakes on the common case
-/// (completions). Otherwise the readiness set wakes on bytes: this loop's
-/// connections' fds, plus the listener's on loop 0. The poll interval
-/// bounds the rest.
+/// (completions). Otherwise the loop's epoll set wakes on bytes: this
+/// loop's connections' fds, plus the listener's on loop 0. The poll
+/// interval bounds the rest; wakeups are advisory (the loop re-scans).
 void Server::idle_wait(Loop& lp) {
   for (auto& cp : lp.conns)
     if (!cp->in_flight.empty()) {
       cp->in_flight.front().future.wait_for(kPollInterval);
       return;
     }
-  if (lp.watch_dirty) {
-    std::vector<int> watch;
-    for (auto& cp : lp.conns) watch.push_back(cp->conn->native_handle());
-    if (lp.index == 0) watch.push_back(listener_->native_handle());
-    lp.readiness.rebuild(std::move(watch));
-    lp.watch_dirty = false;
-  }
-  lp.readiness.wait(kPollInterval);
+  epoll_event events[16];
+  ::epoll_wait(lp.epfd, events, 16, static_cast<int>(kPollInterval.count()));
 }
 
 /// The membership side-channel: tick our heartbeat, dial one peer, trade

@@ -8,12 +8,13 @@
 // no locks on the hot path, no sharing — a connection lives its whole life
 // on one loop, the same exclusive-ownership rule the farm uses for engine
 // state. Every loop sleeps in one place: on the oldest in-flight future
-// when work is pending, else on its epoll ReadinessSet, built from its
-// connections' fds plus the listener's on loop 0 (every transport is
-// socket-backed, loopback included), so an idle loop costs O(ready) per
-// wakeup, not O(watched) — that is what lets one process carry thousands
-// of mostly-idle sessions. The loops meet the farm only
-// through Farm::submit/try_submit and the std::future each returns — the
+// when work is pending, else on its own epoll set, which it keeps in step
+// with the connections it owns — an fd is added at adoption and deleted
+// at close, before the fd itself is closed; loop 0 also watches the
+// listener (every transport is socket-backed, loopback included). An idle
+// loop costs O(ready) per wakeup, not O(watched) — that is what lets one
+// process carry thousands of mostly-idle sessions. The loops meet the farm
+// only through Farm::submit/try_submit and the std::future each returns — the
 // same decoupling the paper builds in hardware (bus I/O overlapped with
 // cipher compute) reproduced at the service layer.
 //
@@ -94,8 +95,8 @@ struct ServerConfig {
   std::size_t window = 32;          ///< max unanswered data frames per session
   std::size_t max_payload = kDefaultMaxPayload;
   std::chrono::milliseconds idle_timeout{30000};
-  bool tracing = false;             ///< per-frame events into an obs::Tracer ring
-  std::size_t trace_capacity = 8192;
+  bool tracing = false;             ///< per-frame events into obs::Tracer rings
+                                    ///< of 8192 events per loop
   /// Serve the fleet admin opcodes (kAdminSwapEngine & co). Off, every
   /// admin frame is refused with kAdminDisabled.
   bool admin = true;

@@ -1,6 +1,6 @@
 // The stream-socket transports: TCP and loopback share one fd-backed Conn
 // and Listener, so both have one recv/send/poll/close implementation and
-// every connection has a native_handle() a ReadinessSet can watch.
+// every connection has a native_handle() a server loop's epoll set can watch.
 //
 //  * TCP: "host:port"; listening on port 0 picks an ephemeral port and
 //    address() reports the real one (how tests avoid hard-coding ports).

@@ -20,7 +20,7 @@
 // write_some never block (kWouldBlock instead), and the wait_* calls are
 // how callers sleep until progress is possible. Every conn and listener
 // is backed by a socket and exposes it (native_handle()), so a server loop
-// watches many at once in one ReadinessSet (poller.hpp).
+// watches many at once in one epoll set.
 #pragma once
 
 #include <chrono>
@@ -63,10 +63,10 @@ class Conn {
   virtual void close() = 0;
   virtual std::string peer() const = 0;
 
-  /// The socket fd behind this connection (-1 once closed). A ReadinessSet
-  /// (poller.hpp) watches handles in bulk — the server's event loops do;
-  /// several conns may share one handle (UDP conns demuxed off one
-  /// socket), so watchers must dedupe.
+  /// The socket fd behind this connection (-1 once closed). The server's
+  /// event loops watch handles in bulk; several conns may share one
+  /// handle (UDP conns demuxed off one socket, whose close() leaves it
+  /// open), so a watcher counts each handle's users.
   virtual int native_handle() const noexcept = 0;
 };
 
@@ -85,7 +85,7 @@ class Listener {
 
   /// The socket that turns readable when a connection is pending (-1 once
   /// closed, or from a wrapper that does not forward it). Like
-  /// Conn::native_handle(), a ReadinessSet may watch it.
+  /// Conn::native_handle(), a server loop may watch it.
   virtual int native_handle() const noexcept { return -1; }
 
   /// The resolved address ("127.0.0.1:49152" after listening on port 0).

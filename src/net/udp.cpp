@@ -5,7 +5,8 @@
 //
 // Topology: one socket per listener, demuxed by source address into
 // per-peer channels (a server serves every UDP session off one fd — which
-// is also why Conn::native_handle may repeat and ReadinessSet dedupes);
+// is also why Conn::native_handle may repeat and a server loop counts
+// each handle's users);
 // one connected socket per client conn. All listener-side state lives in
 // a shared UdpHub under one mutex: the event loop(s) call pump() from
 // every entry point, which drains the socket, routes packets, answers

@@ -736,6 +736,37 @@ TEST(EpollServer, PerThreadFanInAccountsForEverything) {
     }
 }
 
+TEST(EpollServer, ConnectionChurnReusesFdNumbers) {
+  // Short sequential sessions from four client threads: the server closes
+  // a connection's fd while other threads' sockets and the next adopted
+  // connection keep reusing fd numbers. Every loop must drop an fd from
+  // its epoll set before closing it, and watch each new one it adopts.
+  auto transport = net::make_tcp_transport();
+  net::ServerConfig cfg;
+  cfg.farm.workers = 2;
+  cfg.farm.engine = aesip::engine::EngineKind::kSoftware;
+  cfg.threads = 2;
+  net::Server server(*transport, "127.0.0.1:0", cfg);
+  server.start();
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t)
+    clients.emplace_back([&, t] {
+      for (int s = 0; s < 40; ++s) {
+        const int id = t * 40 + s;
+        mismatches += run_verified_session(*transport, server.address(),
+                                           static_cast<std::uint64_t>(id) + 1, 2,
+                                           1100 + static_cast<std::uint32_t>(id));
+      }
+    });
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  server.stop();
+  EXPECT_EQ(server.stats().connections_closed, 160u);
+}
+
 // ---------------------------------------------------------------------------
 // Multi-node sharding
 // ---------------------------------------------------------------------------

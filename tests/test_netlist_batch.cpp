@@ -585,7 +585,6 @@ TEST_F(NetlistBatch, OneSettlePerEdgePlusOnePerInputChange) {
 TEST_F(NetlistBatch, FarmBatchDispatchMatchesReference) {
   farm::FarmConfig cfg;
   cfg.workers = 4;
-  cfg.dispatch_batch = 8;
   cfg.engine = aesip::engine::EngineKind::kNetlist;
   farm::Farm f(cfg);
 

@@ -413,7 +413,6 @@ TEST(FarmMetrics, TracingRecordsOneEventPerJobAndDumps) {
   farm::FarmConfig cfg;
   cfg.workers = 2;
   cfg.tracing = true;
-  cfg.trace_capacity = 1024;
   farm::Farm f(cfg);
   std::mt19937 rng(19);
   std::vector<std::future<farm::Result>> futs;

@@ -1093,21 +1093,12 @@ int cmd_loadgen(const Args& args) {
                 static_cast<unsigned long long>(total_redirects.load()), node_addrs.size());
   if (!cluster_nodes.empty()) {
     for (auto& n : cluster_nodes) n->stop();
-    farm::FarmStats merged;
-    std::uint64_t redirects_sent = 0, gossip_rounds = 0;
-    for (std::size_t i = 0; i < cluster_nodes.size(); ++i) {
-      const auto st = cluster_nodes[i]->stats();
-      redirects_sent += st.redirects_sent;
-      gossip_rounds += st.gossip_rounds;
-      if (i == 0) merged = cluster_nodes[i]->farm_stats();
-      else merged.merge_from(cluster_nodes[i]->farm_stats());
-    }
-    std::printf("loadgen: cluster roll-up: %zu nodes, %llu requests, %llu blocks served, "
-                "%llu redirects sent, %llu gossip rounds\n",
-                cluster_nodes.size(), static_cast<unsigned long long>(merged.requests),
-                static_cast<unsigned long long>(merged.blocks),
-                static_cast<unsigned long long>(redirects_sent),
-                static_cast<unsigned long long>(gossip_rounds));
+    farm::FarmStats merged = cluster_nodes[0]->farm_stats();
+    for (std::size_t i = 1; i < cluster_nodes.size(); ++i)
+      merged.merge_from(cluster_nodes[i]->farm_stats());
+    std::printf("loadgen: cluster roll-up over %zu nodes:\n%s", cluster_nodes.size(),
+                merged.report(cluster_nodes[0]->config().farm.clock_ns).c_str());
+    for (const auto& n : cluster_nodes) std::fputs(n->stats().report().c_str(), stdout);
   }
   if (self_hosted) {
     self_hosted->stop();
